@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet test race lint-examples campaign-smoke fleet-smoke bench-snapshot bench-compare fuzz-smoke cover
+.PHONY: check build vet test race lint-examples campaign-smoke fleet-smoke bench-snapshot bench-compare bench-compare-test fuzz-smoke cover
 
 # The CI gate: everything a PR must pass.
-check: vet build test race lint-examples campaign-smoke fleet-smoke
+check: vet build test race lint-examples campaign-smoke fleet-smoke bench-compare-test
 
 build:
 	$(GO) build ./...
@@ -58,12 +58,18 @@ bench-snapshot:
 # baseline (highest-numbered BENCH_N.json, so benchmarks added after
 # BENCH_0 are compared too), warning on >15% ns/op regressions. The
 # campaign hot-path benchmarks (BENCH_STRICT_RE) fail the run outright on
-# regression; everything else stays advisory (STRICT=1 fails on any).
+# regression or when missing from the snapshot; everything else stays
+# advisory (STRICT=1 fails on any).
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 BENCH_STRICT_RE ?= ^BenchmarkCampaign
 bench-compare:
 	./scripts/bench_snapshot.sh /tmp/bench_now.json
 	STRICT_RE='$(BENCH_STRICT_RE)' ./scripts/bench_compare.sh $(BENCH_BASELINE) /tmp/bench_now.json
+
+# Table test of the bench-compare gate itself on small fixture snapshots:
+# pass, strict regression, missing strict and missing advisory benchmarks.
+bench-compare-test:
+	./scripts/bench_compare_test.sh
 
 # Short native-fuzzing smoke: each target gets a few seconds on top of its
 # seeded corpus. Full fuzzing sessions use `go test -fuzz ... -fuzztime 5m`.

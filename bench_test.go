@@ -13,7 +13,7 @@ package repro
 //	BenchmarkLUTCost         — Section 6.1 FPGA cost model
 //	BenchmarkCampaign        — HAFI campaign with online pruning
 //	BenchmarkCampaignBatched — batched engine, early-exit on vs off
-//	BenchmarkCampaignPool    — parallel pool engine (GOMAXPROCS workers)
+//	BenchmarkCampaignPool    — batched engine, GOMAXPROCS devices
 //	BenchmarkAblation*       — search-depth / term-count ablations
 //	BenchmarkExactVerify     — BDD re-proof of the heuristic MATE set
 //	BenchmarkExactFind       — exact prime-implicant term extraction
@@ -157,7 +157,8 @@ func BenchmarkCampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignBatched isolates the 64-lane batched execution engine:
+// BenchmarkCampaignBatched isolates the batched execution engine on one
+// 64-lane device:
 // golden run, MATE search and fault list are prepared once outside the
 // loop, so the measured cost is experiment execution alone. The sub-bench
 // pair toggles the golden-state convergence early-exit; the delta between
@@ -177,7 +178,7 @@ func BenchmarkCampaignBatched(b *testing.B) {
 		disable bool
 	}{{"early-exit", false}, {"full-run", true}} {
 		b.Run(bc.name, func(b *testing.B) {
-			run64, err := c.NewRun64(c.FibProg)
+			dev, err := c.NewRunW(c.FibProg, 64)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -188,7 +189,7 @@ func BenchmarkCampaignBatched(b *testing.B) {
 					Points:           points,
 					MATESet:          set,
 					DisableEarlyExit: bc.disable,
-				}, run64)
+				}, func() (hafi.RunW, error) { return dev, nil })
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -200,11 +201,9 @@ func BenchmarkCampaignBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignWide sweeps the wide-engine configuration matrix on the
-// prepared inputs of BenchmarkCampaignBatched: lane width × evaluation
-// mode (sparse cone-delta vs dense dispatch). The lanes=64/delta and
-// lanes=256/delta rows are the W ablation EXPERIMENTS.md tracks; the
-// dense rows isolate the cone-delta payoff at fixed width.
+// BenchmarkCampaignWide sweeps the device lane width on the prepared
+// inputs of BenchmarkCampaignBatched: the W ablation EXPERIMENTS.md
+// tracks.
 func BenchmarkCampaignWide(b *testing.B) {
 	c := experiments.PrepareAVR()
 	run := c.NewRun(c.FibProg)
@@ -215,30 +214,19 @@ func BenchmarkCampaignWide(b *testing.B) {
 	set := core.Search(c.NL, c.FaultAll, core.DefaultSearchParams()).Set
 	ctl := hafi.NewController(run, golden)
 	points := hafi.SampledFaultList(c.NL, golden.HaltCycle, 500)
-	for _, bc := range []struct {
-		name  string
-		lanes int
-		dense bool
-	}{
-		{"lanes=64/delta", 64, false},
-		{"lanes=128/delta", 128, false},
-		{"lanes=256/delta", 256, false},
-		{"lanes=64/dense", 64, true},
-		{"lanes=256/dense", 256, true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			runw, err := c.NewRunW(c.FibProg, bc.lanes)
+	for _, lanes := range []int{64, 128, 256} {
+		b.Run(benchName("lanes", lanes), func(b *testing.B) {
+			dev, err := c.NewRunW(c.FibProg, lanes)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := ctl.RunCampaignBatchedW(hafi.CampaignConfig{
-					Points:       points,
-					MATESet:      set,
-					DisableDelta: bc.dense,
-				}, runw)
+				res, err := ctl.RunCampaignBatched(hafi.CampaignConfig{
+					Points:  points,
+					MATESet: set,
+				}, func() (hafi.RunW, error) { return dev, nil })
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -266,7 +254,7 @@ func BenchmarkCampaignMBU(b *testing.B) {
 	set := core.Search(c.NL, c.FaultAll, core.DefaultSearchParams()).Set
 	ctl := hafi.NewController(run, golden)
 	points := hafi.ModelFaultList(c.NL, golden.HaltCycle, 500, hafi.ModelSpec{Model: hafi.ModelMBU, Span: 2})
-	run64, err := c.NewRun64(c.FibProg)
+	dev, err := c.NewRunW(c.FibProg, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -276,7 +264,7 @@ func BenchmarkCampaignMBU(b *testing.B) {
 		res, err := ctl.RunCampaignBatched(hafi.CampaignConfig{
 			Points:  points,
 			MATESet: set,
-		}, run64)
+		}, func() (hafi.RunW, error) { return dev, nil })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -286,8 +274,8 @@ func BenchmarkCampaignMBU(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignPool measures the parallel batched scheduler with one
-// 64-lane device instance per logical CPU (same prepared inputs as
+// BenchmarkCampaignPool measures the batched engine with one 64-lane
+// device instance per logical CPU (same prepared inputs as
 // BenchmarkCampaignBatched; the delta is the multi-core scaling).
 func BenchmarkCampaignPool(b *testing.B) {
 	c := experiments.PrepareAVR()
@@ -302,11 +290,11 @@ func BenchmarkCampaignPool(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ctl.RunCampaignBatchedPool(hafi.CampaignConfig{
+		res, err := ctl.RunCampaignBatched(hafi.CampaignConfig{
 			Points:  points,
 			MATESet: set,
 			Workers: runtime.GOMAXPROCS(0),
-		}, func() (hafi.Run64, error) { return c.NewRun64(c.FibProg) })
+		}, func() (hafi.RunW, error) { return c.NewRunW(c.FibProg, 64) })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -335,7 +323,7 @@ func BenchmarkCampaignJournal(b *testing.B) {
 		}
 		set := core.Search(c.NL, c.FaultAll, params).Set
 		ctl := hafi.NewController(run, golden)
-		run64, err := c.NewRun64(c.FibProg)
+		dev, err := c.NewRunW(c.FibProg, 64)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -348,7 +336,7 @@ func BenchmarkCampaignJournal(b *testing.B) {
 			Points:  points,
 			MATESet: set,
 			Journal: jw,
-		}, run64)
+		}, func() (hafi.RunW, error) { return dev, nil })
 		if err != nil {
 			b.Fatal(err)
 		}

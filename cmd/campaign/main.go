@@ -52,11 +52,10 @@ func main() {
 	noPrune := flag.Bool("noprune", false, "disable online MATE pruning")
 	validate := flag.Bool("validate", false, "re-execute pruned points and verify benignity")
 	noRF := flag.Bool("norf", false, "exclude the register file from the fault list")
-	sequential := flag.Bool("sequential", false, "use the sequential controller instead of the lane-parallel batched engine")
+	sequential := flag.Bool("sequential", false, "run the single-instance scalar oracle instead of the batched engine (ignores -lanes and -workers)")
 	lanes := flag.Int("lanes", hafi.DefaultCampaignLanes, "lanes per batched device instance (positive multiple of 64)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "shard the campaign over this many device instances (>= 1)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "batched device instances the campaign is spread over (>= 1)")
 	noEarlyExit := flag.Bool("no-early-exit", false, "disable the golden-state convergence early-exit (every experiment runs to halt or timeout)")
-	noDelta := flag.Bool("no-delta", false, "disable the sparse cone-delta evaluator (batches always run dense dispatch)")
 	strict := flag.Bool("strict", false, "preflight lint: treat warnings as failures")
 	journalPath := flag.String("journal", "", "durably log every classified point to this file")
 	resume := flag.Bool("resume", false, "resume from the -journal file: replay classified points, run only the rest")
@@ -196,7 +195,6 @@ func main() {
 		MATESet:          set,
 		ValidateSkipped:  *validate,
 		DisableEarlyExit: *noEarlyExit,
-		DisableDelta:     *noDelta,
 		Context:          ctx,
 		Journal:          jw,
 		Resume:           recovered,
@@ -230,7 +228,7 @@ func main() {
 	if *sequential {
 		res, err = ctl.RunCampaign(cfg)
 	} else {
-		res, err = ctl.RunCampaignBatchedPoolW(cfg, factoryW)
+		res, err = ctl.RunCampaignBatched(cfg, factoryW)
 	}
 	if err != nil {
 		fail(err)

@@ -2,7 +2,7 @@
 // coordinator, reconstructs the campaign locally from the advertised spec
 // (golden run, fault list, MATE set), verifies its reconstruction against
 // the coordinator's fingerprints, and then leases shards one at a time —
-// running each on the 64-lane batched engine under a heartbeat, and
+// running each on the batched engine under a heartbeat, and
 // uploading the shard journal with jittered exponential retry.
 //
 // Failure semantics: losing a lease (another worker took the shard over
@@ -53,6 +53,9 @@ func main() {
 	}
 	if *workers < 1 {
 		usage("-workers %d out of range (want >= 1)", *workers)
+	}
+	if *lanes < 64 || *lanes%64 != 0 {
+		usage("-lanes %d out of range (want a positive multiple of 64)", *lanes)
 	}
 	if *name == "" {
 		host, _ := os.Hostname()
@@ -157,7 +160,7 @@ func main() {
 	worker.Runner = &fleet.CampaignRunner{
 		Ctl:              ctl,
 		Points:           points,
-		RunsW:            runs,
+		Runs:             runs,
 		Model:            modelSpec.String(),
 		MATESet:          set,
 		DisableEarlyExit: spec.DisableEarlyExit,

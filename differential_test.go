@@ -5,9 +5,10 @@ package repro
 //
 //  1. the offline replay (prune.MaskedGrid over the golden trace),
 //  2. the sequential campaign controller (hafi.RunCampaign),
-//  3. the 64-lane batched engine (hafi.RunCampaignBatched), and
-//  4. the pooled batched engine with the convergence early-exit disabled
-//     (hafi.RunCampaignBatchedPool + DisableEarlyExit) — the full-run
+//  3. the batched engine on one 64-lane device (hafi.RunCampaignBatched),
+//     and
+//  4. the batched engine over a device pool with the convergence
+//     early-exit disabled (Workers + DisableEarlyExit) — the full-run
 //     reference that proves the early-exit never changes a verdict.
 //
 // Every campaign engine journals every classified point; the journals are
@@ -98,21 +99,16 @@ func TestDifferentialPruneCampaignBatched(t *testing.T) {
 		return out, res
 	}
 
-	// Implementation 2: sequential controller (sharded over a worker pool).
+	// Implementation 2: sequential controller.
 	seqRecs, seqRes := runJournaled("sequential", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
-		cfg.Workers = runtime.NumCPU()
 		ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
 		return ctl.RunCampaign(cfg)
 	})
 
-	// Implementation 3: 64-lane batched engine.
+	// Implementation 3: batched engine on one 64-lane device.
 	batchRecs, batchRes := runJournaled("batched", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
 		ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
-		run64, err := c.NewRun64(prog)
-		if err != nil {
-			return nil, err
-		}
-		return ctl.RunCampaignBatched(cfg, run64)
+		return ctl.RunCampaignBatched(cfg, func() (hafi.RunW, error) { return c.NewRunW(prog, 64) })
 	})
 
 	// Implementation 4: pooled batched engine with the convergence
@@ -123,7 +119,7 @@ func TestDifferentialPruneCampaignBatched(t *testing.T) {
 		ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
 		cfg.Workers = runtime.NumCPU()
 		cfg.DisableEarlyExit = true
-		return ctl.RunCampaignBatchedPool(cfg, func() (hafi.Run64, error) { return c.NewRun64(prog) })
+		return ctl.RunCampaignBatched(cfg, func() (hafi.RunW, error) { return c.NewRunW(prog, 64) })
 	})
 	if fullRes.Converged != 0 {
 		t.Errorf("DisableEarlyExit run reports %d converged experiments, want 0", fullRes.Converged)
@@ -212,12 +208,12 @@ func TestDifferentialEarlyExitNoPrune(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ctl.RunCampaignBatchedPool(hafi.CampaignConfig{
+		res, err := ctl.RunCampaignBatched(hafi.CampaignConfig{
 			Points:           points,
 			Journal:          jw,
 			DisableEarlyExit: disable,
 			Workers:          workers,
-		}, func() (hafi.Run64, error) { return c.NewRun64(prog) })
+		}, func() (hafi.RunW, error) { return c.NewRunW(prog, 64) })
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -196,12 +196,12 @@ func TestDifferentialExactPruneCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ctl.RunCampaignBatchedPool(hafi.CampaignConfig{
+		res, err := ctl.RunCampaignBatched(hafi.CampaignConfig{
 			Points:  points,
 			MATESet: set,
 			Journal: jw,
 			Workers: runtime.NumCPU(),
-		}, func() (hafi.Run64, error) { return c.NewRun64(prog) })
+		}, func() (hafi.RunW, error) { return c.NewRunW(prog, 64) })
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

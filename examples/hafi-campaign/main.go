@@ -6,7 +6,9 @@
 // corruption or hang. With MATEs attached, injections proven benign are
 // skipped before execution; the example validates a sample of the skipped
 // points against actual execution to demonstrate soundness, and reports
-// the FPGA LUT budget of the MATE set (paper Section 6.1).
+// the FPGA LUT budget of the MATE set (paper Section 6.1). Both campaigns
+// run on the batched engine: 256-lane devices, one per CPU, each playing
+// one FPGA of the platform.
 //
 //	go run ./examples/hafi-campaign
 package main
@@ -43,8 +45,10 @@ loop:
 func main() {
 	c := avr.NewCore()
 	prog := avr.MustAssemble(workload)
-	factory := func() hafi.Run { return hafi.NewAVRRun(avr.NewCore(), prog) }
-	run := factory()
+	run := hafi.NewAVRRun(c, prog)
+	devices := func() (hafi.RunW, error) {
+		return hafi.NewAVRRunW(avr.NewCore(), prog, hafi.DefaultCampaignLanes)
+	}
 
 	golden, err := hafi.RecordGolden(run, 100000)
 	if err != nil {
@@ -56,11 +60,11 @@ func main() {
 	fmt.Printf("fault space: %d flip-flops × %d cycles = %d points\n\n",
 		len(c.NL.FFs), golden.HaltCycle, len(points))
 
-	ctl := hafi.NewControllerPool(factory, golden)
+	ctl := hafi.NewController(run, golden)
 
 	// --- baseline: no pruning ---------------------------------------------
 	start := time.Now()
-	base, err := ctl.RunCampaign(hafi.CampaignConfig{Points: points, Workers: runtime.NumCPU()})
+	base, err := ctl.RunCampaignBatched(hafi.CampaignConfig{Points: points, Workers: runtime.NumCPU()}, devices)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,12 +80,12 @@ func main() {
 		res.Set.Size(), hafi.LUTCost(top), 100*hafi.OverheadVsController(top, hafi.FIControllerLUTsLow))
 
 	start = time.Now()
-	pruned, err := ctl.RunCampaign(hafi.CampaignConfig{
+	pruned, err := ctl.RunCampaignBatched(hafi.CampaignConfig{
 		Points:          points,
 		Workers:         runtime.NumCPU(),
 		MATESet:         top,
 		ValidateSkipped: true,
-	})
+	}, devices)
 	if err != nil {
 		log.Fatal(err)
 	}

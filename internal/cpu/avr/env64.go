@@ -1,11 +1,6 @@
 package avr
 
-import (
-	"fmt"
-
-	"repro/internal/netlist"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // SystemW couples the core with 64·W lane-parallel behavioural memories:
 // each lane simulates an independent instance of the same program, so a
@@ -265,16 +260,3 @@ func (s *SystemW) LoadScalarState(ffs, inputs []bool, dmem [1 << DMemBits]uint8,
 
 // PortLane reads the output port register of one lane.
 func (s *SystemW) PortLane(l int) uint8 { return uint8(s.M.ReadBusLane(s.Core.Port, l)) }
-
-// NewDelta builds the cone-delta evaluator for this system against a
-// golden trace (nil error only when the netlist satisfies the engine's
-// env-cone contract; see sim.NewDeltaState).
-func (s *SystemW) NewDelta(tr *sim.Trace) (*sim.DeltaState, error) {
-	core := s.Core
-	d, err := sim.NewDeltaState(s.M, tr, s.envFn,
-		core.IMemAddr, core.DMemAddr, []netlist.WireID{core.DMemWE}, core.DMemWData)
-	if err != nil {
-		return nil, fmt.Errorf("avr: %w", err)
-	}
-	return d, nil
-}

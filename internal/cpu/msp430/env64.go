@@ -1,11 +1,6 @@
 package msp430
 
-import (
-	"fmt"
-
-	"repro/internal/netlist"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // SystemW couples the core with 64·W lane-parallel behavioural memories
 // for batched fault-injection experiments (see sim.MachineW). W=1 is the
@@ -264,16 +259,3 @@ func (s *SystemW) LoadScalarState(ffs, inputs []bool, dmem [1 << DMemBits]uint16
 
 // PortLane reads the output port register of one lane.
 func (s *SystemW) PortLane(l int) uint16 { return uint16(s.M.ReadBusLane(s.Core.Port, l)) }
-
-// NewDelta builds the cone-delta evaluator for this system against a
-// golden trace (nil error only when the netlist satisfies the engine's
-// env-cone contract; see sim.NewDeltaState).
-func (s *SystemW) NewDelta(tr *sim.Trace) (*sim.DeltaState, error) {
-	core := s.Core
-	d, err := sim.NewDeltaState(s.M, tr, s.envFn,
-		core.IMemAddr, core.DMemAddr, []netlist.WireID{core.DMemWE}, core.DMemWData)
-	if err != nil {
-		return nil, fmt.Errorf("msp430: %w", err)
-	}
-	return d, nil
-}

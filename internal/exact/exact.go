@@ -153,7 +153,7 @@ func VerifyMATESet(nl *netlist.Netlist, set *core.MATESet, opts Options) *Verify
 		nodes           int64
 	}
 	verdicts := make([]wireVerdict, len(order))
-	runParallel(len(order), opts.workers(), func(i int) {
+	parallelFor(len(order), opts.workers(), func(i int) {
 		w := order[i]
 		ob := byWire[w]
 		v := &verdicts[i]
@@ -284,7 +284,7 @@ func FindExactTerms(nl *netlist.Netlist, wires []netlist.WireID, heuristic *core
 	}
 
 	res := &FindResult{PerWire: make([]WireExact, len(wires))}
-	runParallel(len(wires), opts.workers(), func(i int) {
+	parallelFor(len(wires), opts.workers(), func(i int) {
 		w := wires[i]
 		we := &res.PerWire[i]
 		we.Wire = w
@@ -448,9 +448,9 @@ func satPath(b *BDD, f Ref, want bool) Cube {
 	return path
 }
 
-// runParallel fans f over n items with w workers, preserving index
+// parallelFor fans f over n items with w workers, preserving index
 // determinism (results land in caller-indexed slots).
-func runParallel(n, w int, f func(i int)) {
+func parallelFor(n, w int, f func(i int)) {
 	if w > n {
 		w = n
 	}

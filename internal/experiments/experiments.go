@@ -38,7 +38,6 @@ type CPUCase struct {
 	TraceFib   *sim.Trace
 	TraceConv  *sim.Trace
 	NewRun     func(prog []uint16) hafi.Run
-	NewRun64   func(prog []uint16) (hafi.Run64, error)
 	NewRunW    func(prog []uint16, lanes int) (hafi.RunW, error)
 	FibProg    []uint16
 	ConvProg   []uint16
@@ -80,7 +79,6 @@ func prepare() {
 			TraceFib:  avr.NewSystem(ac, fib).Record(progs.TraceCycles),
 			TraceConv: avr.NewSystem(avr.NewCore(), conv).Record(progs.TraceCycles),
 			NewRun:    func(p []uint16) hafi.Run { return hafi.NewAVRRun(avr.NewCore(), p) },
-			NewRun64:  func(p []uint16) (hafi.Run64, error) { return hafi.NewAVRRun64(avr.NewCore(), p) },
 			NewRunW:   func(p []uint16, lanes int) (hafi.RunW, error) { return hafi.NewAVRRunW(avr.NewCore(), p, lanes) },
 			FibProg:   fib, ConvProg: conv,
 			RegGroup: avr.GroupRegFile,
@@ -99,7 +97,6 @@ func prepare() {
 			TraceFib:  msp430.NewSystem(mc, mfib).Record(progs.TraceCycles),
 			TraceConv: msp430.NewSystem(msp430.NewCore(), mconv).Record(progs.TraceCycles),
 			NewRun:    func(p []uint16) hafi.Run { return hafi.NewMSP430Run(msp430.NewCore(), p) },
-			NewRun64:  func(p []uint16) (hafi.Run64, error) { return hafi.NewMSP430Run64(msp430.NewCore(), p) },
 			NewRunW:   func(p []uint16, lanes int) (hafi.RunW, error) { return hafi.NewMSP430RunW(msp430.NewCore(), p, lanes) },
 			FibProg:   mfib, ConvProg: mconv,
 			RegGroup: msp430.GroupRegFile,
@@ -432,9 +429,9 @@ type CampaignRow struct {
 // workload, with MATE-based online pruning, and (optionally) validates
 // every skipped point. The context cancels both the MATE search and the
 // campaign gracefully (the row then carries a partial, Interrupted
-// result). The campaign runs on the pooled wide engine (256 lanes per
-// device, cone-delta evaluation) with one worker per available CPU; the
-// result is identical to the single-instance engine's.
+// result). The campaign runs on the batched engine (256 lanes per device)
+// with one worker per available CPU; the result is identical for every
+// worker count.
 func Campaign(ctx context.Context, c *CPUCase, workload string, stride int, params core.SearchParams, validate bool) (*CampaignRow, error) {
 	prog := c.FibProg
 	if workload == "conv" {
@@ -457,7 +454,7 @@ func Campaign(ctx context.Context, c *CPUCase, workload string, stride int, para
 	params.Context = ctx
 	set := core.Search(c.NL, c.FaultAll, params).Set
 	ctl := hafi.NewController(run, golden)
-	res, err := ctl.RunCampaignBatchedPoolW(hafi.CampaignConfig{
+	res, err := ctl.RunCampaignBatched(hafi.CampaignConfig{
 		Points:          hafi.SampledFaultList(c.NL, golden.HaltCycle, stride),
 		MATESet:         set,
 		ValidateSkipped: validate,
@@ -587,13 +584,9 @@ func CrossLayer(c *CPUCase, stride int) ([]CrossLayerRow, error) {
 		return nil, err
 	}
 	ctl := hafi.NewController(run, golden)
-	run64, err := c.NewRun64(c.FibProg)
-	if err != nil {
-		return nil, err
-	}
 	ffRes, err := ctl.RunCampaignBatched(hafi.CampaignConfig{
 		Points: hafi.SampledFaultList(c.NL, golden.HaltCycle, stride),
-	}, run64)
+	}, func() (hafi.RunW, error) { return c.NewRunW(c.FibProg, hafi.DefaultCampaignLanes) })
 	if err != nil {
 		return nil, err
 	}

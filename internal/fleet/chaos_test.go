@@ -77,14 +77,14 @@ func TestFleetChaos(t *testing.T) {
 	set := core.Search(nl, nl.FFQWires(), core.DefaultSearchParams()).Set
 
 	mkRunner := func() *CampaignRunner {
-		run64, err := hafi.NewAVRRun64(avr.NewCore(), prog)
+		run, err := hafi.NewAVRRunW(avr.NewCore(), prog, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return &CampaignRunner{
 			Ctl:     hafi.NewControllerPool(newRun, golden),
 			Points:  points,
-			Runs:    []hafi.Run64{run64},
+			Runs:    []hafi.RunW{run},
 			MATESet: set,
 		}
 	}
@@ -96,13 +96,9 @@ func TestFleetChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRun64, err := hafi.NewAVRRun64(avr.NewCore(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
 	refRes, err := refCtl.RunCampaignBatched(hafi.CampaignConfig{
 		Points: points, MATESet: set, Journal: jw,
-	}, refRun64)
+	}, func() (hafi.RunW, error) { return hafi.NewAVRRunW(avr.NewCore(), prog, 64) })
 	if err != nil {
 		t.Fatal(err)
 	}

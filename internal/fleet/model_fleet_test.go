@@ -39,14 +39,14 @@ func TestFleetModelCampaign(t *testing.T) {
 	}
 
 	mkRunner := func(model string) *CampaignRunner {
-		run64, err := hafi.NewAVRRun64(avr.NewCore(), prog)
+		run, err := hafi.NewAVRRunW(avr.NewCore(), prog, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return &CampaignRunner{
 			Ctl:    hafi.NewControllerPool(newRun, golden),
 			Points: points,
-			Runs:   []hafi.Run64{run64},
+			Runs:   []hafi.RunW{run},
 			Model:  model,
 		}
 	}
@@ -58,13 +58,9 @@ func TestFleetModelCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRun64, err := hafi.NewAVRRun64(avr.NewCore(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := refCtl.RunCampaignBatched(hafi.CampaignConfig{
 		Points: points, Journal: jw,
-	}, refRun64); err != nil {
+	}, func() (hafi.RunW, error) { return hafi.NewAVRRunW(avr.NewCore(), prog, 64) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := jw.Close(); err != nil {

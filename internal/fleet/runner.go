@@ -53,22 +53,18 @@ func (o *ShardObs) Recorder() *SegmentRecorder {
 
 // CampaignRunner is the production Runner: it executes shards of the
 // campaign fault list on the batched HAFI engine, reusing one pool of
-// 64-lane device instances across every shard the worker leases (the
-// RunCampaignBatchedPoolWith path — device construction is paid once per
-// process, not once per shard).
+// device instances across every shard the worker leases — device
+// construction is paid once per process, not once per shard.
 type CampaignRunner struct {
 	// Ctl is this worker's campaign controller. Not shareable between
 	// concurrent workers: each in-process worker needs its own.
 	Ctl *hafi.Controller
 	// Points is the full campaign fault list (shards slice into it).
 	Points []hafi.FaultPoint
-	// Runs is the 64-lane device pool, reused across shards. Superseded by
-	// RunsW when that is non-nil; kept for callers (and tests) that build
-	// classic 64-lane devices.
-	Runs []hafi.Run64
-	// RunsW is the wide device pool (e.g. 256-lane cone-delta devices),
-	// preferred over Runs when non-nil.
-	RunsW []hafi.RunW
+	// Runs is the device pool, reused across shards: the engine runs one
+	// worker per device. All devices must have the same lane count; each
+	// batch restores a golden checkpoint before injecting, so reuse is safe.
+	Runs []hafi.RunW
 	// Model is the fault model the fault list was enumerated under, in
 	// -fault-model syntax (empty = "seu").
 	Model string
@@ -118,6 +114,7 @@ func (r *CampaignRunner) RunShard(ctx context.Context, lo, hi int, path string, 
 		Context:          ctx,
 		Journal:          w,
 		Obs:              r.Obs,
+		Workers:          len(r.Runs),
 	}
 	if obsv != nil || r.Throttle > 0 {
 		throttle := r.Throttle
@@ -136,13 +133,15 @@ func (r *CampaignRunner) RunShard(ctx context.Context, lo, hi int, path string, 
 		r.Obs.AttachTracer(obs.TeeTracer(prev, obsv.Recorder()))
 		defer r.Obs.AttachTracer(prev)
 	}
-	var res *hafi.CampaignResult
-	var runErr error
-	if r.RunsW != nil {
-		res, runErr = r.Ctl.RunCampaignBatchedPoolWithW(cfg, r.RunsW)
-	} else {
-		res, runErr = r.Ctl.RunCampaignBatchedPoolWith(cfg, r.Runs)
-	}
+	// The engine asks for one device per worker; hand out the pool's.
+	next := 0
+	res, runErr := r.Ctl.RunCampaignBatched(cfg, func() (hafi.RunW, error) {
+		if next == len(r.Runs) {
+			return nil, fmt.Errorf("fleet: campaign runner has no device instances")
+		}
+		next++
+		return r.Runs[next-1], nil
+	})
 	closeErr := w.Close()
 	if runErr != nil {
 		return runErr

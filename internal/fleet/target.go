@@ -21,7 +21,6 @@ type Target struct {
 	// RFGroups are the register-file FF groups, excluded when NoRF is set.
 	RFGroups []string
 	NewRun   func() hafi.Run
-	NewRun64 func() (hafi.Run64, error)
 	// NewRunW builds a wide device with the given lane count (a positive
 	// multiple of 64); fleet workers default to hafi.DefaultCampaignLanes.
 	NewRunW func(lanes int) (hafi.RunW, error)
@@ -47,7 +46,6 @@ func NewTarget(cpuName, progName string) (*Target, error) {
 			NL:       avr.NewCore().NL,
 			RFGroups: []string{avr.GroupRegFile},
 			NewRun:   func() hafi.Run { return hafi.NewAVRRun(avr.NewCore(), p) },
-			NewRun64: func() (hafi.Run64, error) { return hafi.NewAVRRun64(avr.NewCore(), p) },
 			NewRunW:  func(lanes int) (hafi.RunW, error) { return hafi.NewAVRRunW(avr.NewCore(), p, lanes) },
 		}, nil
 	case "msp430":
@@ -66,7 +64,6 @@ func NewTarget(cpuName, progName string) (*Target, error) {
 			NL:       msp430.NewCore().NL,
 			RFGroups: []string{msp430.GroupRegFile},
 			NewRun:   func() hafi.Run { return hafi.NewMSP430Run(msp430.NewCore(), p) },
-			NewRun64: func() (hafi.Run64, error) { return hafi.NewMSP430Run64(msp430.NewCore(), p) },
 			NewRunW:  func(lanes int) (hafi.RunW, error) { return hafi.NewMSP430RunW(msp430.NewCore(), p, lanes) },
 		}, nil
 	}

@@ -7,24 +7,13 @@ import (
 	"sync"
 
 	"repro/internal/journal"
-	"repro/internal/sim"
 )
 
 // DefaultCampaignLanes is the lane count the campaign front-ends default
 // to: width 4 (256 lanes), the widest kernel with a hand-unrolled dense
-// dispatch. 64-lane devices remain fully supported (journals are
-// byte-identical across widths).
+// dispatch. Every width that is a multiple of 64 is supported, and the
+// journals are byte-identical across widths.
 const DefaultCampaignLanes = 256
-
-// DefaultDeltaFallbackPercent is the frontier-occupancy threshold at which
-// a cone-delta batch abandons sparse evaluation for dense dispatch,
-// as a percent of the dense per-cycle gate-evaluation cost. Measured on
-// the AVR/fib campaign (see EXPERIMENTS.md): per-gate delta evaluation
-// costs ~3-4× a dense kernel slot (scattered loads, golden-row lookups,
-// worklist pushes), so sparse stops paying between 25% and 50% occupancy;
-// 40% was the ablation's flattest optimum and errs toward staying sparse,
-// which the convergence early-exit rewards on long tails.
-const DefaultDeltaFallbackPercent = 40
 
 // stragglerMaxLive is the live-lane count at or below which a batch hands
 // its remaining lanes to the straggler pool (when the device supports
@@ -41,10 +30,15 @@ const stragglerMaxLive = 64
 // export/import round trip.
 const stragglerMinTail = 1024
 
-// RunCampaignBatched executes the campaign on a 64-lane batched device:
-// injection points that share a cycle are grouped, up to 64 of them run as
+// RunCampaignBatched executes the campaign on a pool of batched devices —
+// the paper's "one FI controller distributes the FI campaign over several
+// FPGAs", with each device playing one FPGA. newRun builds one device of
+// the netlist and workload the golden reference was recorded from; the
+// pool holds cfg.Workers of them (at least one, at most one per batch),
+// and all must have the same lane count. Injection points that share a
+// cycle are grouped into batches of up to Lanes() points, which run as
 // lanes of one bit-parallel simulation. Semantically identical to
-// RunCampaign (same outcomes for every point); typically an order of
+// RunCampaign (same outcome for every point); typically orders of
 // magnitude faster. MATE pruning is applied before batching, exactly like
 // the sequential controller. ValidateSkipped re-executes pruned points
 // batched as well.
@@ -53,164 +47,19 @@ const stragglerMinTail = 1024
 // Controller.execute): a lane whose flip-flop state and memory write
 // digest re-converge with the golden reference after its hold window is
 // classified benign immediately, and the batch ends as soon as every lane
-// has halted or retired — long-tail batches no longer run to the slowest
-// lane's halt. CampaignConfig.DisableEarlyExit restores full runs.
+// has halted or retired. CampaignConfig.DisableEarlyExit restores full
+// runs.
 //
-// Resilience matches the sequential engine: recovered journal records are
-// replayed instead of re-executed, every newly classified point is
-// journaled as its batch completes, cancellation drains at batch
-// granularity, and a panicking batch is retried lane by lane so only the
-// offending point is classified OutcomeHarnessError.
-func (c *Controller) RunCampaignBatched(cfg CampaignConfig, run64 Run64) (*CampaignResult, error) {
-	return c.RunCampaignBatchedW(cfg, AsRunW(run64))
-}
-
-// RunCampaignBatchedW is RunCampaignBatched on a wide (64·W lane) device:
-// the batch plan packs up to run.Lanes() same-cycle points per batch, and
-// when the device supports the cone-delta evaluator (DeltaRunW) each batch
-// runs in sparse delta mode until frontier occupancy crosses the dense
-// fallback threshold. Classification — and the journal byte stream — is
-// identical at every width and in both engine modes.
-func (c *Controller) RunCampaignBatchedW(cfg CampaignConfig, run RunW) (*CampaignResult, error) {
-	timeout, err := c.prepareCampaign(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctx := cfg.context()
-	sp := cfg.Obs.StartSpan("campaign")
-	defer sp.End()
-	met := newCampaignMetrics(cfg.Obs, len(cfg.Points))
-	st := newBatchState(&cfg, met)
-	met.setLanes(run.Lanes())
-
-	specs, err := c.classifyPoints(&cfg, st, run.Lanes())
-	if err != nil {
-		return nil, err
-	}
-
-	// Straggler suspension (SuspendRunW devices only): a batch down to a
-	// handful of live lanes past every injection and convergence horizon
-	// hands them to the pool instead of simulating a near-empty device to
-	// the timeout; the pool finishes all batches' stragglers together in
-	// packed waves. Specs whose outcomes are complete emit immediately;
-	// a spec with suspended lanes — and everything after it, to keep the
-	// journal a contiguous plan prefix — is buffered and emitted after
-	// resolution.
-	type pendingSpec struct {
-		outcomes []Outcome
-		conv     int
-		saved    int64
-		waiting  int
-	}
-	var (
-		scratch batchScratch
-		pending []pendingSpec
-		susp    []suspLane
-		emitted int
-	)
-	scratch.suspendOK = true
-	flush := func() error {
-		for emitted < len(pending) && pending[emitted].waiting == 0 {
-			p := &pending[emitted]
-			st.res.Converged += p.conv
-			st.res.CyclesSaved += p.saved
-			if err := st.emitSpec(specs[emitted], p.outcomes); err != nil {
-				return err
-			}
-			emitted++
-		}
-		return nil
-	}
-	for si, spec := range specs {
-		if ctx.Err() != nil {
-			break
-		}
-		conv, saved, outcomes := c.runSpec(&cfg, run, spec, timeout, met, &scratch)
-		pending = append(pending, pendingSpec{
-			outcomes: append([]Outcome(nil), outcomes...),
-			conv:     conv,
-			saved:    saved,
-			waiting:  len(scratch.susp),
-		})
-		for _, s := range scratch.susp {
-			s.spec = si
-			susp = append(susp, s)
-		}
-		if err := flush(); err != nil {
-			return nil, err
-		}
-	}
-	if len(susp) > 0 {
-		c.resolveStragglers(&cfg, run, timeout, susp, func(spec, item int, o Outcome) {
-			pending[spec].outcomes[item] = o
-			pending[spec].waiting--
-		}, &scratch)
-		if err := flush(); err != nil {
-			return nil, err
-		}
-	}
-	st.res.Interrupted = ctx.Err() != nil
-	return st.res, nil
-}
-
-// RunCampaignBatchedPool is RunCampaignBatched sharded over a pool of
-// cfg.Workers batched device instances — the paper's "one FI controller
-// distributes the FI campaign over several FPGAs", with each worker
-// playing one FPGA. The factory must produce Run64 instances of the same
-// netlist and workload the golden reference was recorded from.
-//
-// The batch plan is the exact plan of the single-instance engine, batches
-// are dispatched to workers in plan order, and results are emitted through
-// a reorder buffer in plan order from a single goroutine — so the journal
-// an uninterrupted pool campaign writes is byte-identical to the
-// single-instance engine's, and crash-resume/journal-diff behavior is
-// unchanged. On cancellation, dispatch stops; in-flight batches finish and
-// are emitted, so the journal still covers a contiguous plan prefix.
-func (c *Controller) RunCampaignBatchedPool(cfg CampaignConfig, factory func() (Run64, error)) (*CampaignResult, error) {
-	return c.RunCampaignBatchedPoolW(cfg, func() (RunW, error) {
-		r, err := factory()
-		if err != nil {
-			return nil, err
-		}
-		return AsRunW(r), nil
-	})
-}
-
-// RunCampaignBatchedPoolW is RunCampaignBatchedPool over a factory of wide
-// devices (see RunCampaignBatchedW). Every instance the factory produces
-// must have the same lane count.
-func (c *Controller) RunCampaignBatchedPoolW(cfg CampaignConfig, factory func() (RunW, error)) (*CampaignResult, error) {
-	return c.runCampaignPool(cfg, nil, factory)
-}
-
-// RunCampaignBatchedPoolWith is RunCampaignBatchedPool over caller-provided
-// device instances instead of a factory: the pool size is len(runs) and the
-// instances are reused as-is, so a long-lived process (a fleet worker
-// executing many shards of one campaign) pays the device construction cost
-// once, not once per shard. The instances must model the same netlist and
-// workload the golden reference was recorded from; they are handed back in
-// whatever state the last batch left them (every batch restores a golden
-// checkpoint before injecting, so reuse is safe by construction).
-func (c *Controller) RunCampaignBatchedPoolWith(cfg CampaignConfig, runs []Run64) (*CampaignResult, error) {
-	rw := make([]RunW, len(runs))
-	for i, r := range runs {
-		rw[i] = AsRunW(r)
-	}
-	return c.RunCampaignBatchedPoolWithW(cfg, rw)
-}
-
-// RunCampaignBatchedPoolWithW is RunCampaignBatchedPoolWith over wide
-// device instances. All instances must share one lane count.
-func (c *Controller) RunCampaignBatchedPoolWithW(cfg CampaignConfig, runs []RunW) (*CampaignResult, error) {
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("hafi: pool campaign needs at least one device instance")
-	}
-	return c.runCampaignPool(cfg, runs, nil)
-}
-
-// runCampaignPool is the shared pool engine: exactly one of runs/factory is
-// set, fixing the pool size or constructing it on demand.
-func (c *Controller) runCampaignPool(cfg CampaignConfig, runs []RunW, factory func() (RunW, error)) (*CampaignResult, error) {
+// The batch plan is deterministic, batches are dispatched to the devices
+// in plan order, and results are emitted through a reorder buffer in plan
+// order from a single goroutine — so the journal is byte-identical for
+// every worker count and lane width. Recovered journal records are
+// replayed instead of re-executed, and every newly classified point is
+// journaled as its batch completes. On cancellation, dispatch stops;
+// in-flight batches finish and are emitted, so the journal still covers a
+// contiguous plan prefix. A panicking batch is retried lane by lane so
+// only the offending point is classified OutcomeHarnessError.
+func (c *Controller) RunCampaignBatched(cfg CampaignConfig, newRun func() (RunW, error)) (*CampaignResult, error) {
 	timeout, err := c.prepareCampaign(&cfg)
 	if err != nil {
 		return nil, err
@@ -222,28 +71,18 @@ func (c *Controller) runCampaignPool(cfg CampaignConfig, runs []RunW, factory fu
 	st := newBatchState(&cfg, met)
 
 	nw := cfg.Workers
-	if runs != nil {
-		nw = len(runs)
-	}
 	if nw < 1 {
 		nw = 1
 	}
-	// The batch plan depends on the device lane count, so at least one
-	// instance must exist before planning; the rest of a factory pool is
-	// constructed after the plan fixes the worker count.
-	if runs == nil {
-		first, err := factory()
-		if err != nil {
-			return nil, fmt.Errorf("hafi: pool worker 0: %w", err)
-		}
-		runs = append(make([]RunW, 0, nw), first)
+	// The batch plan depends on the device lane count, so one device must
+	// exist before planning; the rest of the pool is built after the plan
+	// fixes the worker count.
+	first, err := newRun()
+	if err != nil {
+		return nil, fmt.Errorf("hafi: pool worker 0: %w", err)
 	}
-	lanes := runs[0].Lanes()
-	for i, r := range runs {
-		if r.Lanes() != lanes {
-			return nil, fmt.Errorf("hafi: pool device %d has %d lanes, pool runs at %d", i, r.Lanes(), lanes)
-		}
-	}
+	runs := append(make([]RunW, 0, nw), first)
+	lanes := first.Lanes()
 	met.setLanes(lanes)
 
 	specs, err := c.classifyPoints(&cfg, st, lanes)
@@ -251,22 +90,19 @@ func (c *Controller) runCampaignPool(cfg CampaignConfig, runs []RunW, factory fu
 		return nil, err
 	}
 
-	if nw > len(specs) && len(specs) > 0 {
-		nw = len(specs)
+	if nw > len(specs) {
+		nw = max(len(specs), 1)
 	}
-	if factory != nil {
-		for len(runs) < nw {
-			r, err := factory()
-			if err != nil {
-				return nil, fmt.Errorf("hafi: pool worker %d: %w", len(runs), err)
-			}
-			if r.Lanes() != lanes {
-				return nil, fmt.Errorf("hafi: pool device %d has %d lanes, pool runs at %d", len(runs), r.Lanes(), lanes)
-			}
-			runs = append(runs, r)
+	for len(runs) < nw {
+		r, err := newRun()
+		if err != nil {
+			return nil, fmt.Errorf("hafi: pool worker %d: %w", len(runs), err)
 		}
+		if r.Lanes() != lanes {
+			return nil, fmt.Errorf("hafi: pool device %d has %d lanes, pool runs at %d", len(runs), r.Lanes(), lanes)
+		}
+		runs = append(runs, r)
 	}
-	runs = runs[:nw]
 	met.setWorkers(nw)
 
 	// batchDone carries one completed batch back to the emitter. outcomes
@@ -291,6 +127,9 @@ func (c *Controller) runCampaignPool(cfg CampaignConfig, runs []RunW, factory fu
 	go func() {
 		defer close(work)
 		for si := range specs {
+			if ctx.Err() != nil {
+				return
+			}
 			select {
 			case work <- si:
 			case <-ctx.Done():
@@ -305,7 +144,6 @@ func (c *Controller) runCampaignPool(cfg CampaignConfig, runs []RunW, factory fu
 		go func(run RunW) {
 			defer wg.Done()
 			var scratch batchScratch
-			scratch.suspendOK = true
 			// Straggler-bearing batches are held back (the emitter's reorder
 			// buffer absorbs the gap) and resolved together on this worker's
 			// device once the plan drains; spec/item of a pool worker's
@@ -318,10 +156,10 @@ func (c *Controller) runCampaignPool(cfg CampaignConfig, runs []RunW, factory fu
 			for si := range work {
 				d := batchDone{spec: si}
 				nsusp := 0
-				// Worker-level backstop, mirroring runParallel: panics are
-				// already isolated per batch and per lane inside runSpec, so
-				// anything reaching here is a harness bug — surface it as an
-				// error instead of crashing the campaign.
+				// Worker-level backstop: panics are already isolated per
+				// batch and per lane inside runSpec, so anything reaching
+				// here is a harness bug — surface it as an error instead of
+				// crashing the campaign.
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
@@ -415,10 +253,18 @@ func (c *Controller) runCampaignPool(cfg CampaignConfig, runs []RunW, factory fu
 	return st.res, nil
 }
 
-// batchState bundles the result accumulation and journal emission shared
-// by the single-instance and pool engines. All methods must be called from
-// a single goroutine (the pool engine funnels completed batches through
-// its reorder buffer for exactly this reason).
+// RunCampaignBatchedPoolW is RunCampaignBatched under its earlier name.
+// The benchmark harness in perfbench/ is built unchanged against this tree
+// and against trees from before the engines were merged, so it calls the
+// name both share.
+func (c *Controller) RunCampaignBatchedPoolW(cfg CampaignConfig, factory func() (RunW, error)) (*CampaignResult, error) {
+	return c.RunCampaignBatched(cfg, factory)
+}
+
+// batchState bundles the result accumulation and journal emission of the
+// batched engine. All methods must be called from a single goroutine (the
+// engine funnels completed batches through its reorder buffer for exactly
+// this reason).
 type batchState struct {
 	cfg  *CampaignConfig
 	met  *campaignMetrics
@@ -496,8 +342,7 @@ func (st *batchState) emitSpec(spec batchSpec, outcomes []Outcome) error {
 // unless they still need validation), and everything else lands in the
 // deterministic batch plan. The returned specs are the to-run batches
 // followed by the to-validate batches, each grouped by injection cycle
-// into ≤lanes-lane batches — identical for the single-instance and pool
-// engines.
+// into ≤lanes-lane batches — identical for every worker count.
 func (c *Controller) classifyPoints(cfg *CampaignConfig, st *batchState, lanes int) ([]batchSpec, error) {
 	var toRun, toValidate []batchItem
 	for i, p := range cfg.Points {
@@ -540,7 +385,7 @@ type batchItem struct {
 }
 
 // batchSpec is one planned ≤lanes-lane batch: same-cycle items in the
-// deterministic plan order shared by every batched engine.
+// deterministic plan order shared by every worker.
 type batchSpec struct {
 	items    []batchItem
 	cycle    int
@@ -549,8 +394,8 @@ type batchSpec struct {
 
 // planBatches groups items by injection cycle into ≤lanes-lane batches.
 // The grouping (stable sort by cycle, greedy fill) is deterministic, so
-// the single-instance and pool engines produce the same plan — the basis
-// of their byte-identical journals. Since records are emitted per point in
+// every worker count produces the same plan — the basis of their
+// byte-identical journals. Since records are emitted per point in
 // item order and the sort is stable, the journal byte stream is also
 // identical across lane counts: wider devices only change how many
 // consecutive plan items share one simulation.
@@ -587,7 +432,6 @@ type batchScratch struct {
 	outcomes []Outcome
 	solo     []Outcome
 	ffs      []laneFFs
-	dffs     []deltaFFs
 	ends     []int
 	laneItem []int
 	witness  []int32
@@ -597,12 +441,8 @@ type batchScratch struct {
 	done     []uint64
 
 	// susp collects the lanes runBatch suspended into the straggler pool
-	// (item indices are batch-relative; runSpec's caller rebases them);
-	// suspendOK arms suspension — only the single-instance engine sets it,
-	// the pool engine's per-point outcomes flow through worker channels
-	// that have nowhere to park an unresolved lane.
-	susp      []suspLane
-	suspendOK bool
+	// (item indices are batch-relative; runSpec's caller rebases them).
+	susp []suspLane
 }
 
 // suspLane is one suspended experiment: the plan spec and batch item it
@@ -625,7 +465,6 @@ func (sc *batchScratch) init(lanes int) {
 	sc.outcomes = make([]Outcome, lanes)
 	sc.solo = make([]Outcome, 1)
 	sc.ffs = make([]laneFFs, lanes)
-	sc.dffs = make([]deltaFFs, lanes)
 	sc.ends = make([]int, lanes)
 	sc.laneItem = make([]int, lanes)
 	sc.witness = make([]int32, lanes)
@@ -640,8 +479,7 @@ func (sc *batchScratch) init(lanes int) {
 // which alias the scratch and are only valid until the next runSpec call on
 // the same scratch. Items the batch suspended into the straggler pool are
 // listed in scratch.susp (reset on every call) and have no outcome yet;
-// the single-instance engine resolves them after the plan drains, the pool
-// engine never suspends.
+// the worker resolves them on its device after the plan drains.
 func (c *Controller) runSpec(cfg *CampaignConfig, run RunW, spec batchSpec, timeout int, met *campaignMetrics, scratch *batchScratch) (converged int, saved int64, outcomes []Outcome) {
 	scratch.init(run.Lanes())
 	scratch.susp = scratch.susp[:0]
@@ -655,7 +493,7 @@ func (c *Controller) runSpec(cfg *CampaignConfig, run RunW, spec batchSpec, time
 	met.batch(n)
 	bsp := cfg.Obs.StartSpan("campaign/batch")
 	early := !cfg.DisableEarlyExit
-	conv, sv, panicked := c.runBatchSafe(cfg, run, batch, spec.cycle, timeout, early, outcomes, scratch, met)
+	conv, sv, panicked := c.runBatchSafe(run, batch, spec.cycle, timeout, early, outcomes, scratch)
 	if panicked {
 		// Isolate the faulty lane: retry each point as its own 1-lane
 		// batch. Only the point(s) that still panic solo are charged with
@@ -664,7 +502,7 @@ func (c *Controller) runSpec(cfg *CampaignConfig, run RunW, spec batchSpec, time
 		scratch.susp = scratch.susp[:0]
 		for j := range batch {
 			mark := len(scratch.susp)
-			soloConv, soloSaved, soloPanic := c.runBatchSafe(cfg, run, batch[j:j+1], spec.cycle, timeout, early, scratch.solo[:1], scratch, met)
+			soloConv, soloSaved, soloPanic := c.runBatchSafe(run, batch[j:j+1], spec.cycle, timeout, early, scratch.solo[:1], scratch)
 			switch {
 			case soloPanic:
 				scratch.susp = scratch.susp[:mark]
@@ -689,13 +527,13 @@ func (c *Controller) runSpec(cfg *CampaignConfig, run RunW, spec batchSpec, time
 }
 
 // runBatchSafe executes one same-cycle batch with panic isolation.
-func (c *Controller) runBatchSafe(cfg *CampaignConfig, run RunW, batch []FaultPoint, cycle, timeout int, early bool, outcomes []Outcome, sc *batchScratch, met *campaignMetrics) (converged int, saved int64, panicked bool) {
+func (c *Controller) runBatchSafe(run RunW, batch []FaultPoint, cycle, timeout int, early bool, outcomes []Outcome, sc *batchScratch) (converged int, saved int64, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			converged, saved, panicked = 0, 0, true
 		}
 	}()
-	conv, sv := c.runBatch(cfg, run, batch, cycle, timeout, early, outcomes, sc, met)
+	conv, sv := c.runBatch(run, batch, cycle, timeout, early, outcomes, sc)
 	return conv, sv, false
 }
 
@@ -704,23 +542,13 @@ func (c *Controller) runBatchSafe(cfg *CampaignConfig, run RunW, batch []FaultPo
 // to halt/timeout and classifies every lane into outcomes (len(batch)
 // entries). All points share cycle.
 //
-// With early set, lanes retire individually: each cycle the lane-parallel
-// divergence mask (OR over all flip-flops of lane^golden) identifies lanes
-// whose flip-flop state equals the golden reference; those of them past
-// their fault's active window whose memory write digest also matches golden
-// retire benign on the spot. The batch ends once every lane has halted or
-// retired, which is what turns wide batches with one slow lane from
-// worst-case into average-case runtime.
-//
-// When the device supports it (DeltaRunW) and the config allows, the batch
-// starts in cone-delta mode: gate evaluation restricted to the frontier of
-// wires differing from the golden trace, with injections, divergence masks
-// and the halted flag all answered in delta space. The batch falls back to
-// dense dispatch — once, irreversibly — when the frontier grows past the
-// occupancy threshold or the golden trace ends (the final signature read
-// always happens on materialized dense state). Classification is identical
-// in both modes.
-func (c *Controller) runBatch(cfg *CampaignConfig, run RunW, batch []FaultPoint, cycle, timeout int, early bool, outcomes []Outcome, sc *batchScratch, met *campaignMetrics) (converged int, saved int64) {
+// With early set, lanes retire individually: each cycle the convergence
+// check identifies lanes whose flip-flop state equals the golden
+// reference; those of them past their fault's active window whose memory
+// write digest also matches golden retire benign on the spot. The batch
+// ends once every lane has halted or retired, which is what turns wide
+// batches with one slow lane from worst-case into average-case runtime.
+func (c *Controller) runBatch(run RunW, batch []FaultPoint, cycle, timeout int, early bool, outcomes []Outcome, sc *batchScratch) (converged int, saved int64) {
 	run.LoadCheckpoint(c.golden.Checkpoints[cycle])
 	groups := sc.lanes / 64
 	used, halted, done := sc.used, sc.halted, sc.done
@@ -747,64 +575,22 @@ func (c *Controller) runBatch(cfg *CampaignConfig, run RunW, batch []FaultPoint,
 	// Lane compaction: once enough lanes have been classified (done) that
 	// the survivors fit in fewer 64-lane groups, pack them into the low
 	// lanes and shrink the device — the per-cycle cost of a wide batch then
-	// tracks its live lanes instead of its original width. Dense mode only:
-	// the cone-delta evaluator is anchored to full-width golden broadcasts.
+	// tracks its live lanes instead of its original width.
 	compactRun, _ := run.(CompactRunW)
 	if sc.lanes <= 64 {
 		compactRun = nil // nothing to shrink below one group
 	}
 
-	// The golden trace bounds delta execution: past its last recorded row
-	// there is nothing to be relative to.
-	traceEnd := 0
-	if c.golden.Trace != nil {
-		traceEnd = c.golden.Trace.NumCycles()
-		if c.golden.HaltCycle < traceEnd {
-			traceEnd = c.golden.HaltCycle
-		}
-	}
-	var d *sim.DeltaState
-	var dr DeltaRunW
-	if !cfg.DisableDelta && cycle < traceEnd {
-		if drw, ok := run.(DeltaRunW); ok {
-			if ds := drw.InitDelta(c.golden.Trace); ds != nil {
-				d, dr = ds, drw
-				d.Reset(cycle)
-			}
-		}
-	}
-	deltaMode := d != nil
-	fallbackOps := 0
-	if deltaMode {
-		pct := cfg.DeltaFallbackPercent
-		if pct <= 0 {
-			pct = DefaultDeltaFallbackPercent
-		}
-		fallbackOps = d.NumOps() * pct / 100
-	}
-
 	ends := sc.ends
-	inject := func(lane int, p FaultPoint, cyc int) {
-		if deltaMode {
-			Model(p.Model).Inject(&sc.dffs[lane], p, cyc)
-		} else {
-			Model(p.Model).Inject(&sc.ffs[lane], p, cyc)
-		}
-	}
 	for lane, p := range batch {
 		sc.ffs[lane] = laneFFs{r: run, lane: lane}
-		sc.dffs[lane] = deltaFFs{d: d, lane: lane}
 		ends[lane] = Model(p.Model).ActiveEnd(p)
-		inject(lane, p, cycle)
+		Model(p.Model).Inject(&sc.ffs[lane], p, cycle)
 	}
 
 	readHalted := func() {
 		for g := 0; g < groups; g++ {
-			if deltaMode {
-				halted[g] = dr.HaltedMaskDeltaG(g)
-			} else {
-				halted[g] = run.HaltedMaskG(g)
-			}
+			halted[g] = run.HaltedMaskG(g)
 		}
 	}
 	allDone := func() bool {
@@ -827,9 +613,6 @@ func (c *Controller) runBatch(cfg *CampaignConfig, run RunW, batch []FaultPoint,
 	// them into the straggler pool instead of dragging a nearly empty
 	// device through the remaining cycles alone.
 	suspRun, _ := run.(SuspendRunW)
-	if !sc.suspendOK {
-		suspRun = nil
-	}
 	suspendAfter := len(digests)
 	for lane := 0; lane < nLanes; lane++ {
 		if ends[lane] > suspendAfter {
@@ -842,40 +625,36 @@ func (c *Controller) runBatch(cfg *CampaignConfig, run RunW, batch []FaultPoint,
 			readHalted()
 			for lane := 0; lane < nLanes; lane++ {
 				if cyc < ends[lane] && (halted[lane>>6]|done[lane>>6])>>(uint(lane)&63)&1 == 0 {
-					inject(lane, batch[laneItem[lane]], cyc)
+					p := batch[laneItem[lane]]
+					Model(p.Model).Inject(&sc.ffs[lane], p, cyc)
 				}
 			}
 		}
 		// Re-read after the injections: a fault landing in the halt flag
 		// itself must be visible to this cycle's retirement/termination
-		// decisions, exactly as in the historical 64-lane engine.
+		// decisions, exactly as in the sequential engine.
 		readHalted()
-		if !deltaMode {
-			// Eager classification: a halted lane's state is frozen (the
-			// sequential controller reads its verdict at the halt and the
-			// engines journal byte-identically), so its signature now equals
-			// its signature at batch end. Classifying it immediately marks it
-			// done, which is what feeds the lane compaction below.
-			for g := 0; g < groups; g++ {
-				h := used[g] & halted[g] &^ done[g]
-				for h != 0 {
-					l := bits.TrailingZeros64(h)
-					h &^= 1 << uint(l)
-					lane := g<<6 + l
-					if run.SignatureLane(lane) == c.golden.Signature {
-						outcomes[laneItem[lane]] = OutcomeBenign
-					} else {
-						outcomes[laneItem[lane]] = OutcomeSDC
-					}
-					done[g] |= 1 << uint(l)
+		// Eager classification: a halted lane's state is frozen (the
+		// sequential controller reads its verdict at the halt and the
+		// engines journal byte-identically), so its signature now equals
+		// its signature at batch end. Classifying it immediately marks it
+		// done, which is what feeds the lane compaction below.
+		for g := 0; g < groups; g++ {
+			h := used[g] & halted[g] &^ done[g]
+			for h != 0 {
+				l := bits.TrailingZeros64(h)
+				h &^= 1 << uint(l)
+				lane := g<<6 + l
+				if run.SignatureLane(lane) == c.golden.Signature {
+					outcomes[laneItem[lane]] = OutcomeBenign
+				} else {
+					outcomes[laneItem[lane]] = OutcomeSDC
 				}
+				done[g] |= 1 << uint(l)
 			}
 		}
 		if early && cyc < len(digests) {
-			var row []uint64
-			if !deltaMode {
-				row = c.golden.Trace.Row(cyc)
-			}
+			row := c.golden.Trace.Row(cyc)
 			for g := 0; g < groups; g++ {
 				// Eligible for retirement: in use, not halted, not already
 				// classified, and past the fault's active window (an active
@@ -895,32 +674,12 @@ func (c *Controller) runBatch(cfg *CampaignConfig, run RunW, batch []FaultPoint,
 						elig &^= 1 << uint(lane-base)
 					}
 				}
-				if elig == 0 {
-					continue
-				}
-				if deltaMode {
-					conv := elig &^ d.DivergenceMaskG(g)
-					for conv != 0 {
-						l := bits.TrailingZeros64(conv)
-						conv &^= 1 << uint(l)
-						lane := base + l
-						if run.MemDigestLane(lane) == digests[cyc] {
-							done[g] |= 1 << uint(l)
-							outcomes[laneItem[lane]] = OutcomeBenign
-							converged++
-							saved += int64(c.golden.HaltCycle - cyc)
-						}
-					}
-					continue
-				}
-				// Dense mode: watched-flip-flop filter. A lane whose watched
-				// flip-flop still differs from golden has not converged and
-				// costs one load; the digest gate then excludes lanes that
-				// could not retire this cycle anyway, and only the remainder
-				// pays the full flip-flop scan (which also picks the next
-				// watched flip-flop). Retirement decisions — and therefore
-				// the converged/saved statistics — are identical to the
-				// group-wide divergence-mask formulation this replaces.
+				// Watched-flip-flop filter: a lane whose watched flip-flop
+				// still differs from golden has not converged and costs one
+				// load; the digest gate then excludes lanes that could not
+				// retire this cycle anyway, and only the remainder pays the
+				// full flip-flop scan (which also picks the next watched
+				// flip-flop).
 				for m := elig; m != 0; {
 					l := bits.TrailingZeros64(m)
 					m &^= 1 << uint(l)
@@ -945,7 +704,7 @@ func (c *Controller) runBatch(cfg *CampaignConfig, run RunW, batch []FaultPoint,
 		if allDone() {
 			break
 		}
-		if suspRun != nil && !deltaMode && cyc >= suspendAfter && timeout-cyc > stragglerMinTail {
+		if suspRun != nil && cyc >= suspendAfter && timeout-cyc > stragglerMinTail {
 			live := 0
 			for g := 0; g < groups; g++ {
 				live += bits.OnesCount64(used[g] &^ done[g])
@@ -968,7 +727,7 @@ func (c *Controller) runBatch(cfg *CampaignConfig, run RunW, batch []FaultPoint,
 				break
 			}
 		}
-		if compactRun != nil && !deltaMode {
+		if compactRun != nil {
 			live := 0
 			for g := 0; g < groups; g++ {
 				live += bits.OnesCount64(used[g] &^ done[g])
@@ -1001,25 +760,7 @@ func (c *Controller) runBatch(cfg *CampaignConfig, run RunW, batch []FaultPoint,
 				}
 			}
 		}
-		if deltaMode {
-			dr.StepDelta()
-			if d.Cycle() >= traceEnd || d.LastEvaluated() > fallbackOps {
-				d.Materialize()
-				deltaMode = false
-				met.frontierFallback()
-			}
-		} else {
-			run.Step()
-		}
-	}
-	if deltaMode {
-		// Final classification (halted flag, signatures) reads dense
-		// machine state.
-		d.Materialize()
-		deltaMode = false
-	}
-	if d != nil {
-		met.deltaSkipped(d.TakeSkipped())
+		run.Step()
 	}
 	readHalted()
 	for lane := 0; lane < nLanes; lane++ {

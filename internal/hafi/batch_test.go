@@ -20,11 +20,11 @@ func TestBatchedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run64, err := NewAVRRun64(c, prog)
+	run64, err := NewAVRRunW(c, prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bat, err := ctl.RunCampaignBatched(CampaignConfig{Points: points}, run64)
+	bat, err := ctl.RunCampaignBatched(CampaignConfig{Points: points}, oneDevice(run64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestBatchedWithPruningAndValidation(t *testing.T) {
 	ctl := NewController(r, g)
 	points := SampledFaultList(c.NL, g.HaltCycle, 4)
 
-	run64, err := NewAVRRun64(c, prog)
+	run64, err := NewAVRRunW(c, prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestBatchedWithPruningAndValidation(t *testing.T) {
 		Points:          points,
 		MATESet:         set,
 		ValidateSkipped: true,
-	}, run64)
+	}, oneDevice(run64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestBatchedMSP430(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run64, err := NewMSP430Run64(c, prog)
+	run64, err := NewMSP430RunW(c, prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bat, err := ctl.RunCampaignBatched(CampaignConfig{Points: points}, run64)
+	bat, err := ctl.RunCampaignBatched(CampaignConfig{Points: points}, oneDevice(run64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestBatchedCheckpointTypeMismatch(t *testing.T) {
 	cp := arun.Checkpoint()
 
 	mc := msp430.NewCore()
-	mrun64, err := NewMSP430Run64(mc, msp430.MustAssemble("halt"))
+	mrun64, err := NewMSP430RunW(mc, msp430.MustAssemble("halt"), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +157,8 @@ func TestBatchedPoolMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := ctl.RunCampaignBatchedPool(CampaignConfig{Points: points, Workers: 3},
-		func() (Run64, error) { return NewAVRRun64(avr.NewCore(), prog) })
+	pool, err := ctl.RunCampaignBatched(CampaignConfig{Points: points, Workers: 3},
+		func() (RunW, error) { return NewAVRRunW(avr.NewCore(), prog, 64) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,4 +170,10 @@ func TestBatchedPoolMatchesSequential(t *testing.T) {
 			t.Errorf("%s: sequential %d, pooled %d", o, seq.ByOutcome[o], pool.ByOutcome[o])
 		}
 	}
+}
+
+// oneDevice hands the batched engine the same device on every call, for
+// single-worker campaigns that reuse one device across runs.
+func oneDevice(r RunW) func() (RunW, error) {
+	return func() (RunW, error) { return r, nil }
 }

@@ -233,11 +233,11 @@ func TestBatchedHoldWindowConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run64, err := NewAVRRun64(c, prog)
+	run64, err := NewAVRRunW(c, prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bat, err := ctl.RunCampaignBatched(CampaignConfig{Points: points}, run64)
+	bat, err := ctl.RunCampaignBatched(CampaignConfig{Points: points}, oneDevice(run64))
 	if err != nil {
 		t.Fatal(err)
 	}

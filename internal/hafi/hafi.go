@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -225,9 +224,10 @@ func (p FaultPoint) plainSEU() bool {
 type CampaignConfig struct {
 	// Points is the fault list (already sampled/sliced by the caller).
 	Points []FaultPoint
-	// Workers shards the experiments over this many device instances
-	// (requires a controller created with NewControllerPool). 0 or 1 runs
-	// sequentially.
+	// Workers sizes the device pool of the batched engine
+	// (RunCampaignBatched): batches are spread over this many device
+	// instances. 0 means 1. RunCampaign, the sequential oracle, always runs
+	// one scalar instance and ignores it.
 	Workers int
 	// TimeoutFactor bounds experiment length: an experiment hangs when it
 	// exceeds TimeoutFactor × golden halt cycle. Zero selects the default
@@ -247,24 +247,12 @@ type CampaignConfig struct {
 	// identical either way; this is an escape hatch for differential
 	// testing and debugging.
 	DisableEarlyExit bool
-	// DisableDelta forces the batched engines onto dense gate dispatch even
-	// when the device supports the cone-delta evaluator. Classification is
-	// identical either way; like DisableEarlyExit this is an escape hatch
-	// for differential testing, debugging and perf ablations.
-	DisableDelta bool
-	// DeltaFallbackPercent overrides the frontier-occupancy threshold at
-	// which a cone-delta batch falls back to dense dispatch, as a percent
-	// of the dense per-cycle gate-evaluation cost. Zero selects the
-	// measured default (DefaultDeltaFallbackPercent); 100 disables the
-	// occupancy fallback (the engine still leaves delta mode when the
-	// golden trace ends).
-	DeltaFallbackPercent int
 	// Context, when non-nil, cancels the campaign gracefully: in-flight
-	// experiments (and the current 64-lane batch) finish and are recorded,
+	// experiments (and the current batches) finish and are recorded,
 	// no new ones start, and the partial result carries Interrupted=true.
 	Context context.Context
 	// Journal, when non-nil, receives one durable record per classified
-	// point (concurrent-safe; shared by all worker shards). A journal
+	// point (concurrent-safe). A journal
 	// write failure aborts the campaign — a silently lossy journal would
 	// defeat crash recovery.
 	Journal *journal.Writer
@@ -275,8 +263,8 @@ type CampaignConfig struct {
 	Resume *journal.Recovered
 	// Progress, when non-nil, is called after every newly classified point
 	// with the running count of points classified in this run (replayed
-	// Resume records excluded). It may be called concurrently from worker
-	// shards and must be safe for that.
+	// Resume records excluded). Both engines call it from one goroutine at a
+	// time.
 	Progress func(done int)
 	// Obs, when non-nil, receives campaign metrics (points done, injections,
 	// pruned/replayed counts, outcome histogram, batch lane occupancy,
@@ -332,22 +320,6 @@ func (r *CampaignResult) PrunedFraction() float64 {
 		return 0
 	}
 	return float64(r.Skipped) / float64(r.Total)
-}
-
-// merge folds a shard-partial result into r.
-func (r *CampaignResult) merge(p *CampaignResult) {
-	r.Total += p.Total
-	r.Skipped += p.Skipped
-	r.Executed += p.Executed
-	r.SkippedWrong += p.SkippedWrong
-	for o, n := range p.ByOutcome {
-		r.ByOutcome[o] += n
-	}
-	for m, n := range p.PrunedByMATE {
-		r.PrunedByMATE[m] += n
-	}
-	r.Converged += p.Converged
-	r.CyclesSaved += p.CyclesSaved
 }
 
 // replay merges one recovered journal record without re-execution. hit, when
@@ -408,11 +380,10 @@ func NewController(run Run, golden *Golden) *Controller {
 	return newController(run, nil, golden)
 }
 
-// NewControllerPool prepares a controller that can shard experiments over
-// several device instances (one per worker); the factory must produce runs
-// of the same netlist and workload the golden reference was recorded from —
-// the paper's scenario of "one FI controller distributing the FI campaign
-// over several FPGAs".
+// NewControllerPool prepares a controller whose scalar device can be
+// replaced: the factory must produce runs of the same netlist and workload
+// the golden reference was recorded from, and the sequential engine calls
+// it for a fresh instance after an experiment panics.
 func NewControllerPool(factory func() Run, golden *Golden) *Controller {
 	return newController(factory(), factory, golden)
 }
@@ -504,7 +475,7 @@ func pointRecord(idx uint64, p FaultPoint) journal.Record {
 }
 
 // prepareCampaign validates the configuration (shared by the sequential
-// and the 64-lane batched engine) and computes the experiment timeout:
+// and the batched engine) and computes the experiment timeout:
 // TimeoutFactor × golden halt cycle, but always at least one cycle past
 // the golden halt so a fault-free experiment can never be misclassified
 // as a hang.
@@ -576,7 +547,8 @@ func (c *Controller) checkResume(cfg *CampaignConfig) error {
 	return nil
 }
 
-// progress fans the per-point Progress callback out of the worker shards.
+// progressCounter counts newly classified points for the Progress
+// callback.
 type progressCounter struct {
 	fn func(int)
 	n  atomic.Int64
@@ -593,8 +565,9 @@ func (pc *progressCounter) bump() {
 	}
 }
 
-// RunCampaign executes the configured campaign and returns the aggregated
-// result.
+// RunCampaign executes the configured campaign point by point on the
+// controller's one scalar device and returns the aggregated result. It is
+// the reference oracle every batched campaign is checked against.
 func (c *Controller) RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	timeout, err := c.prepareCampaign(&cfg)
 	if err != nil {
@@ -603,13 +576,10 @@ func (c *Controller) RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	sp := cfg.Obs.StartSpan("campaign")
 	defer sp.End()
 	met := newCampaignMetrics(cfg.Obs, len(cfg.Points))
-	if cfg.Workers > 1 && c.factory != nil {
-		return c.runParallel(cfg, timeout, met)
-	}
 	met.setWorkers(1)
 	met.workerBusy(1)
 	res := newCampaignResult()
-	err = c.runShard(cfg, 0, cfg.Points, c.run, timeout, res, newProgress(cfg.Progress), met)
+	err = c.runPoints(cfg, timeout, res, met)
 	met.workerBusy(-1)
 	if err != nil {
 		return nil, err
@@ -618,11 +588,11 @@ func (c *Controller) RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	return res, nil
 }
 
-// runShard executes one slice of the fault list on one device instance.
-// base is the slice's offset in the campaign fault list (journal records
-// are keyed by global point index).
-func (c *Controller) runShard(cfg CampaignConfig, base int, points []FaultPoint, run Run, timeout int, res *CampaignResult, prog *progressCounter, met *campaignMetrics) error {
+// runPoints executes the fault list in order on the controller's scalar
+// device.
+func (c *Controller) runPoints(cfg CampaignConfig, timeout int, res *CampaignResult, met *campaignMetrics) error {
 	ctx := cfg.context()
+	prog := newProgress(cfg.Progress)
 	early := !cfg.DisableEarlyExit
 	// converged credits one early-exited execution (validation re-runs of
 	// pruned points included: the statistic counts executions, and staying
@@ -634,8 +604,8 @@ func (c *Controller) runShard(cfg CampaignConfig, base int, points []FaultPoint,
 			met.convergedN(1, int64(saved))
 		}
 	}
-	for i, p := range points {
-		idx := uint64(base + i)
+	for i, p := range cfg.Points {
+		idx := uint64(i)
 		if cfg.Resume != nil {
 			if rec, ok := cfg.Resume.ByIndex[idx]; ok {
 				res.replay(rec, replayHit(cfg.Resume, idx))
@@ -661,7 +631,7 @@ func (c *Controller) runShard(cfg CampaignConfig, base int, points []FaultPoint,
 			hit = &journal.MATEHit{Index: idx, FF: uint32(p.FF), MATE: uint32(mate), Width: uint16(width)}
 			met.matePruned(mate, width)
 			if cfg.ValidateSkipped {
-				out, saved := c.safeExecute(&run, p, timeout, early)
+				out, saved := c.safeExecute(&c.run, p, timeout, early)
 				converged(saved)
 				if out != OutcomeBenign {
 					res.SkippedWrong++
@@ -669,7 +639,7 @@ func (c *Controller) runShard(cfg CampaignConfig, base int, points []FaultPoint,
 				}
 			}
 		} else {
-			out, saved := c.safeExecute(&run, p, timeout, early)
+			out, saved := c.safeExecute(&c.run, p, timeout, early)
 			converged(saved)
 			res.Executed++
 			res.ByOutcome[out]++
@@ -695,8 +665,8 @@ func (c *Controller) runShard(cfg CampaignConfig, base int, points []FaultPoint,
 }
 
 // safeExecute runs one experiment with panic isolation: a panicking device
-// model yields OutcomeHarnessError instead of killing the worker shard,
-// and the (possibly corrupted) instance is replaced from the pool factory
+// model yields OutcomeHarnessError instead of killing the campaign, and the
+// (possibly corrupted) instance is replaced from the controller's factory
 // so subsequent experiments start from a healthy device.
 func (c *Controller) safeExecute(run *Run, p FaultPoint, timeout int, early bool) (out Outcome, saved int) {
 	defer func() {
@@ -708,59 +678,6 @@ func (c *Controller) safeExecute(run *Run, p FaultPoint, timeout int, early bool
 		}
 	}()
 	return c.execute(*run, p, timeout, early)
-}
-
-// runParallel shards the fault list over Workers device instances.
-func (c *Controller) runParallel(cfg CampaignConfig, timeout int, met *campaignMetrics) (*CampaignResult, error) {
-	nw := cfg.Workers
-	if nw > len(cfg.Points) {
-		nw = len(cfg.Points)
-	}
-	met.setWorkers(nw)
-	partials := make([]*CampaignResult, nw)
-	errs := make([]error, nw)
-	prog := newProgress(cfg.Progress)
-	var wg sync.WaitGroup
-	chunk := (len(cfg.Points) + nw - 1) / nw
-	for i := 0; i < nw; i++ {
-		lo, hi := i*chunk, (i+1)*chunk
-		if hi > len(cfg.Points) {
-			hi = len(cfg.Points)
-		}
-		if lo >= hi {
-			continue
-		}
-		partials[i] = newCampaignResult()
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			// Shard-level backstop: a panic outside the per-experiment
-			// isolation (device construction, MATE evaluation) surfaces as
-			// an error instead of crashing the campaign.
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("hafi: worker shard %d panicked: %v", i, r)
-				}
-			}()
-			met.workerBusy(1)
-			defer met.workerBusy(-1)
-			errs[i] = c.runShard(cfg, lo, cfg.Points[lo:hi], c.factory(), timeout, partials[i], prog, met)
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	res := newCampaignResult()
-	for _, p := range partials {
-		if p != nil {
-			res.merge(p)
-		}
-	}
-	res.Interrupted = cfg.context().Err() != nil
-	return res, nil
 }
 
 // indexMATEs builds the per-wire MATE index used by provedBenign. Walking

@@ -346,11 +346,11 @@ func TestMultiCycleBatchedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run64, err := NewAVRRun64(c, prog)
+	run64, err := NewAVRRunW(c, prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bat, err := ctl.RunCampaignBatched(CampaignConfig{Points: pts}, run64)
+	bat, err := ctl.RunCampaignBatched(CampaignConfig{Points: pts}, oneDevice(run64))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,6 @@ type campaignMetrics struct {
 	laneWidth    *obs.Gauge     // campaign_lanes
 	converged    *obs.Counter   // campaign_converged_total
 	cyclesSaved  *obs.Counter   // campaign_cycles_saved_total
-	deltaSkip    *obs.Counter   // sim_delta_gates_skipped_total
-	deltaFall    *obs.Counter   // sim_frontier_fallback_total
 	// reg backs the labeled per-MATE attribution counters, which cannot be
 	// hoisted statically (one counter per MATE). mateCounters caches the
 	// registry lookup per MATE index: crediting a pruned point is a hot
@@ -61,8 +59,6 @@ func newCampaignMetrics(reg *obs.Registry, totalPoints int) *campaignMetrics {
 		laneWidth:    reg.Gauge("campaign_lanes"),
 		converged:    reg.Counter("campaign_converged_total"),
 		cyclesSaved:  reg.Counter("campaign_cycles_saved_total"),
-		deltaSkip:    reg.Counter("sim_delta_gates_skipped_total"),
-		deltaFall:    reg.Counter("sim_frontier_fallback_total"),
 		reg:          reg,
 		mateCounters: map[int]*obs.Counter{},
 	}
@@ -127,7 +123,7 @@ func (m *campaignMetrics) replay() {
 	m.replayed.Inc()
 }
 
-// batch accounts one executed 64-lane batch and its lane occupancy.
+// batch accounts one executed batch and its lane occupancy.
 func (m *campaignMetrics) batch(lanesUsed int) {
 	if m == nil {
 		return
@@ -171,22 +167,4 @@ func (m *campaignMetrics) setLanes(n int) {
 		return
 	}
 	m.laneWidth.Set(int64(n))
-}
-
-// deltaSkipped accounts gate evaluations the cone-delta engine avoided
-// relative to dense stepping (accumulated per batch, not per cycle).
-func (m *campaignMetrics) deltaSkipped(n uint64) {
-	if m == nil || n == 0 {
-		return
-	}
-	m.deltaSkip.Add(int64(n))
-}
-
-// frontierFallback accounts one mid-batch switch from cone-delta to dense
-// dispatch (frontier occupancy over threshold or golden trace exhausted).
-func (m *campaignMetrics) frontierFallback() {
-	if m == nil {
-		return
-	}
-	m.deltaFall.Inc()
 }

@@ -58,7 +58,7 @@ func (id ModelID) String() string {
 
 // FFAccess is the flip-flop view a fault model injects through: read and
 // invert stored values by flip-flop index. Two adapters exist — one over
-// the scalar machine, one over a single lane of the 64-lane machine — so
+// the scalar machine, one over a single lane of the wide machine — so
 // every model has exactly one injection implementation shared by both
 // engines.
 type FFAccess interface {
@@ -75,7 +75,7 @@ type machineFFs struct{ m *sim.Machine }
 func (a *machineFFs) FFValue(ff int) bool { return a.m.Value(a.m.NL.FFs[ff].Q) }
 func (a *machineFFs) FlipFF(ff int)       { a.m.FlipFF(ff) }
 
-// laneFFs adapts one lane of the wide machine (dense mode).
+// laneFFs adapts one lane of the wide machine.
 type laneFFs struct {
 	r    RunW
 	lane int
@@ -83,16 +83,6 @@ type laneFFs struct {
 
 func (a *laneFFs) FFValue(ff int) bool { return a.r.MachW().FFLane(ff, a.lane) }
 func (a *laneFFs) FlipFF(ff int)       { a.r.FlipLane(ff, a.lane) }
-
-// deltaFFs adapts one lane of the cone-delta evaluator, so the same model
-// Inject implementations work while a batch runs in delta mode.
-type deltaFFs struct {
-	d    *sim.DeltaState
-	lane int
-}
-
-func (a *deltaFFs) FFValue(ff int) bool { return a.d.FFLane(ff, a.lane) }
-func (a *deltaFFs) FlipFF(ff int)       { a.d.FlipLane(ff, a.lane) }
 
 // FaultModel defines the injection semantics of one fault model. The
 // campaign engines are model-agnostic: they restore a checkpoint, call

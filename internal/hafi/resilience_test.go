@@ -104,7 +104,7 @@ func TestCampaignGracefulDrain(t *testing.T) {
 
 // runInterrupted runs the campaign against a fresh journal, cancelling
 // after cut points, and returns the journal path plus the partial result.
-func runInterrupted(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Run64, cut int) (string, *CampaignResult) {
+func runInterrupted(t *testing.T, ctl *Controller, cfg CampaignConfig, newRun func() (RunW, error), cut int) (string, *CampaignResult) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "campaign.journal")
 	jw, err := journal.Create(path, ctl.JournalHeader(cfg.Points))
@@ -115,8 +115,8 @@ func runInterrupted(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Run
 	ctx, prog := cancelAfter(t, cut)
 	cfg.Journal, cfg.Context, cfg.Progress = jw, ctx, prog
 	var res *CampaignResult
-	if run64 != nil {
-		res, err = ctl.RunCampaignBatched(cfg, run64)
+	if newRun != nil {
+		res, err = ctl.RunCampaignBatched(cfg, newRun)
 	} else {
 		res, err = ctl.RunCampaign(cfg)
 	}
@@ -142,7 +142,7 @@ func dropConvergence(r *CampaignResult) *CampaignResult {
 }
 
 // resumeAndFinish recovers the journal and completes the campaign.
-func resumeAndFinish(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Run64, path string) *CampaignResult {
+func resumeAndFinish(t *testing.T, ctl *Controller, cfg CampaignConfig, newRun func() (RunW, error), path string) *CampaignResult {
 	t.Helper()
 	jw, rec, err := journal.Resume(path, ctl.JournalHeader(cfg.Points))
 	if err != nil {
@@ -151,8 +151,8 @@ func resumeAndFinish(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Ru
 	defer jw.Close()
 	cfg.Journal, cfg.Resume = jw, rec
 	var res *CampaignResult
-	if run64 != nil {
-		res, err = ctl.RunCampaignBatched(cfg, run64)
+	if newRun != nil {
+		res, err = ctl.RunCampaignBatched(cfg, newRun)
 	} else {
 		res, err = ctl.RunCampaign(cfg)
 	}
@@ -162,12 +162,12 @@ func resumeAndFinish(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Ru
 	return res
 }
 
-func checkResumeEquivalence(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Run64, cuts []int) {
+func checkResumeEquivalence(t *testing.T, ctl *Controller, cfg CampaignConfig, newRun func() (RunW, error), cuts []int) {
 	t.Helper()
 	var baseline *CampaignResult
 	var err error
-	if run64 != nil {
-		baseline, err = ctl.RunCampaignBatched(cfg, run64)
+	if newRun != nil {
+		baseline, err = ctl.RunCampaignBatched(cfg, newRun)
 	} else {
 		baseline, err = ctl.RunCampaign(cfg)
 	}
@@ -176,7 +176,7 @@ func checkResumeEquivalence(t *testing.T, ctl *Controller, cfg CampaignConfig, r
 	}
 	for _, cut := range cuts {
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
-			path, partial := runInterrupted(t, ctl, cfg, run64, cut)
+			path, partial := runInterrupted(t, ctl, cfg, newRun, cut)
 
 			// The journal must cover exactly the classified points: a
 			// record for an experiment that never ran would fabricate
@@ -189,7 +189,7 @@ func checkResumeEquivalence(t *testing.T, ctl *Controller, cfg CampaignConfig, r
 				t.Fatalf("journal has %d records, partial result classified %d", len(rec.Records), partial.Total)
 			}
 
-			res := resumeAndFinish(t, ctl, cfg, run64, path)
+			res := resumeAndFinish(t, ctl, cfg, newRun, path)
 			if !reflect.DeepEqual(dropConvergence(res), dropConvergence(baseline)) {
 				t.Fatalf("resumed result diverges from uninterrupted run:\n  resumed:  %+v\n  baseline: %+v", res, baseline)
 			}
@@ -224,35 +224,32 @@ func TestCrashResumeSequentialPruned(t *testing.T) {
 		nil, []int{3, len(points) / 2})
 }
 
+// TestCrashResumeParallel: the batched engine over a pool of three devices
+// resumes to the uninterrupted result from any cut point.
 func TestCrashResumeParallel(t *testing.T) {
-	c := avr.NewCore()
-	prog := avr.MustAssemble(smallAVRProgram)
-	factory := func() Run { return NewAVRRun(avr.NewCore(), prog) }
-	g, err := RecordGolden(factory(), 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl := NewControllerPool(factory, g)
+	c, prog, g, r := goldenAVR(t)
+	ctl := NewController(r, g)
 	points := SampledFaultList(c.NL, g.HaltCycle, 13)
 	checkResumeEquivalence(t, ctl,
 		CampaignConfig{Points: points, Workers: 3},
-		nil, []int{2, len(points) / 2})
+		func() (RunW, error) { return NewAVRRunW(avr.NewCore(), prog, 64) },
+		[]int{2, len(points) / 2})
 }
 
 func TestCrashResumeBatched(t *testing.T) {
 	c, prog, g, r := goldenAVR(t)
-	run64, err := NewAVRRun64(c, prog)
+	run64, err := NewAVRRunW(c, prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl := NewController(r, g)
 	points := SampledFaultList(c.NL, g.HaltCycle, 13)
-	checkResumeEquivalence(t, ctl, CampaignConfig{Points: points}, run64, []int{1, len(points) / 2})
+	checkResumeEquivalence(t, ctl, CampaignConfig{Points: points}, oneDevice(run64), []int{1, len(points) / 2})
 }
 
 func TestCrashResumeBatchedPruned(t *testing.T) {
 	c, prog, g, r := goldenAVR(t)
-	run64, err := NewAVRRun64(c, prog)
+	run64, err := NewAVRRunW(c, prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +258,7 @@ func TestCrashResumeBatchedPruned(t *testing.T) {
 	points := SampledFaultList(c.NL, g.HaltCycle, 13)
 	checkResumeEquivalence(t, ctl,
 		CampaignConfig{Points: points, MATESet: set, ValidateSkipped: true},
-		run64, []int{3, len(points) / 2})
+		oneDevice(run64), []int{3, len(points) / 2})
 }
 
 // TestResumeCompletedCampaign resumes from a journal that already holds
@@ -360,7 +357,7 @@ func uniqueCyclePoints(g *Golden, n, ffs int) []FaultPoint {
 
 // journalByIndex runs the campaign with a journal and returns the
 // per-point records (the ground truth for comparing verdicts).
-func journalByIndex(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Run64) (map[uint64]journal.Record, *CampaignResult) {
+func journalByIndex(t *testing.T, ctl *Controller, cfg CampaignConfig, newRun func() (RunW, error)) (map[uint64]journal.Record, *CampaignResult) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "verdicts.journal")
 	jw, err := journal.Create(path, ctl.JournalHeader(cfg.Points))
@@ -369,8 +366,8 @@ func journalByIndex(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Run
 	}
 	cfg.Journal = jw
 	var res *CampaignResult
-	if run64 != nil {
-		res, err = ctl.RunCampaignBatched(cfg, run64)
+	if newRun != nil {
+		res, err = ctl.RunCampaignBatched(cfg, newRun)
 	} else {
 		res, err = ctl.RunCampaign(cfg)
 	}
@@ -421,50 +418,54 @@ func TestPanicIsolationSequential(t *testing.T) {
 	}
 }
 
+// TestPanicIsolationParallel: a device fault on one point of a
+// three-device pool costs only that point; every other batch, and the rest
+// of the poisoned batch, keeps its verdict.
 func TestPanicIsolationParallel(t *testing.T) {
-	c := avr.NewCore()
-	prog := avr.MustAssemble(smallAVRProgram)
-	g, err := RecordGolden(NewAVRRun(avr.NewCore(), prog), 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := uniqueCyclePoints(g, 12, len(c.NL.FFs))
-	tripped := new(atomic.Bool)
-	factory := func() Run {
-		return &panicRun{
-			Run:       NewAVRRun(avr.NewCore(), prog),
-			golden:    g,
-			tripCycle: points[5].Cycle,
-			tripped:   tripped,
-		}
-	}
-	ctl := NewControllerPool(factory, g)
-	res, err := ctl.RunCampaign(CampaignConfig{Points: points, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, prog, g, r := goldenAVR(t)
+	points := SampledFaultList(c.NL, g.HaltCycle, 13)
+	trip := points[len(points)/2]
+	ctl := NewController(r, g)
+	cfg := CampaignConfig{Points: points, Workers: 3}
+	baseline, _ := journalByIndex(t, ctl, cfg,
+		func() (RunW, error) { return NewAVRRunW(avr.NewCore(), prog, 64) })
+	got, res := journalByIndex(t, ctl, cfg, func() (RunW, error) {
+		rw, err := NewAVRRunW(avr.NewCore(), prog, 64)
+		return &panicRunW{RunW: rw, tripFF: trip.FF, tripCycle: trip.Cycle}, err
+	})
 	if res.ByOutcome[OutcomeHarnessError] != 1 {
 		t.Fatalf("harness errors = %d, want 1 (%+v)", res.ByOutcome[OutcomeHarnessError], res)
 	}
 	if res.Total != len(points) || res.Executed != len(points) {
-		t.Fatalf("other shards did not survive the panic: %+v", res)
+		t.Fatalf("other devices did not survive the panic: %+v", res)
 	}
 	checkConsistent(t, res)
+	for idx, rec := range got {
+		if rec.FF == uint32(trip.FF) && rec.Cycle == uint32(trip.Cycle) {
+			if Outcome(rec.Outcome) != OutcomeHarnessError {
+				t.Fatalf("poisoned point classified %v, want harness-error", Outcome(rec.Outcome))
+			}
+			continue
+		}
+		if rec != baseline[idx] {
+			t.Fatalf("point %d disturbed by the panic: got %+v, want %+v", idx, rec, baseline[idx])
+		}
+	}
 }
 
-// panicRun64 panics whenever the campaign injects into tripFF: the whole
-// batch aborts, and only the lane-by-lane retry pins the harness error on
-// the offending point.
-type panicRun64 struct {
-	Run64
-	tripFF int
+// panicRunW panics whenever the campaign injects into tripFF at tripCycle:
+// the whole batch aborts, and only the lane-by-lane retry pins the harness
+// error on the offending point.
+type panicRunW struct {
+	RunW
+	tripFF, tripCycle int
 }
 
-func (p *panicRun64) FlipLane(ff, lane int) {
-	if ff == p.tripFF {
+func (p *panicRunW) FlipLane(ff, lane int) {
+	if ff == p.tripFF && p.MachW().Cycle == p.tripCycle {
 		panic("injected lane fault")
 	}
-	p.Run64.FlipLane(ff, lane)
+	p.RunW.FlipLane(ff, lane)
 }
 
 func TestPanicIsolationBatched(t *testing.T) {
@@ -480,19 +481,19 @@ func TestPanicIsolationBatched(t *testing.T) {
 	}
 	tripFF := nffs / 2
 
-	clean64, err := NewAVRRun64(c, prog)
+	clean64, err := NewAVRRunW(c, prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl := NewController(r, g)
-	baseline, _ := journalByIndex(t, ctl, CampaignConfig{Points: points}, clean64)
+	baseline, _ := journalByIndex(t, ctl, CampaignConfig{Points: points}, oneDevice(clean64))
 
-	faulty64, err := NewAVRRun64(avr.NewCore(), prog)
+	faulty64, err := NewAVRRunW(avr.NewCore(), prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, res := journalByIndex(t, ctl, CampaignConfig{Points: points},
-		&panicRun64{Run64: faulty64, tripFF: tripFF})
+		oneDevice(&panicRunW{RunW: faulty64, tripFF: tripFF, tripCycle: 3}))
 
 	if res.ByOutcome[OutcomeHarnessError] != 1 {
 		t.Fatalf("harness errors = %d, want exactly 1 (%+v)", res.ByOutcome[OutcomeHarnessError], res)

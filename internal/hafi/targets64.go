@@ -8,31 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Run64 is a 64-lane batched device instance: 64 fault-injection
-// experiments that share a start checkpoint advance per evaluation pass.
-// It is the historical width-1 view; the engine itself runs on RunW and
-// adapts Run64 values via AsRunW.
-type Run64 interface {
-	// Step advances all lanes one clock cycle.
-	Step()
-	// HaltedMask returns a bit per halted lane.
-	HaltedMask() uint64
-	// LoadCheckpoint broadcasts a scalar checkpoint into every lane.
-	LoadCheckpoint(cp Checkpoint)
-	// FlipLane injects an SEU into flip-flop ff of one lane.
-	FlipLane(ff, lane int)
-	// SignatureLane condenses one lane's externally visible result; it is
-	// comparable with the scalar Run.Signature of the same target.
-	SignatureLane(lane int) uint64
-	// MemDigestLane returns one lane's external-memory write digest; it is
-	// comparable with the scalar Run.MemDigest and the per-cycle digests of
-	// the golden reference.
-	MemDigestLane(lane int) uint64
-	// Mach exposes the lane-parallel machine (flip-flop state inspection
-	// for convergence retirement).
-	Mach() *sim.Machine64
-}
-
 // RunW is a wide batched device instance: 64·W fault-injection experiments
 // that share a start checkpoint advance per evaluation pass. Lane-group
 // methods take g < Lanes()/64 and cover lanes 64g..64g+63.
@@ -56,31 +31,13 @@ type RunW interface {
 	MachW() *sim.MachineW
 }
 
-// DeltaRunW is a RunW that can also execute in cone-delta mode: gate
-// evaluation restricted to the wires that differ from the recorded golden
-// trace. The engine switches a batch into delta mode right after
-// LoadCheckpoint (InitDelta + DeltaState.Reset), drives it with StepDelta,
-// and leaves it via DeltaState.Materialize when frontier occupancy crosses
-// the dense-fallback threshold or the golden trace ends.
-type DeltaRunW interface {
-	RunW
-	// InitDelta returns the device's cone-delta evaluator for the given
-	// golden trace, or nil when the target cannot support delta execution
-	// (the engine then stays dense). The evaluator is cached per trace.
-	InitDelta(tr *sim.Trace) *sim.DeltaState
-	// StepDelta advances all lanes one clock cycle in delta mode.
-	StepDelta()
-	// HaltedMaskDeltaG is HaltedMaskG while the device runs in delta mode.
-	HaltedMaskDeltaG(g int) uint64
-}
-
 // CompactRunW is an optional RunW capability: a device that can pack a
 // subset of its lanes into the low lane indices and shrink its active
 // width, so the batched engine stops paying for lanes whose experiments
 // already finished. src must be strictly increasing; lane l of the
 // compacted device is lane src[l] of the old one (state, memories and
-// digests move together). The capability is optional because a foreign
-// Run64 adapted via AsRunW runs at width 1 and has nothing to shrink.
+// digests move together). The capability is optional: a device that does
+// not offer it simply runs every batch at its full width.
 type CompactRunW interface {
 	RunW
 	CompactLanes(src []uint16)
@@ -110,21 +67,12 @@ func lanesToWidth(lanes int) (int, error) {
 
 // avrRunW adapts the AVR lane-parallel system.
 type avrRunW struct {
-	sys   *avr.SystemW
-	delta *sim.DeltaState
+	sys *avr.SystemW
 }
 
 // NewAVRRunW creates a wide batched run for the AVR-class core with the
 // given lane count (a positive multiple of 64).
 func NewAVRRunW(core *avr.Core, prog []uint16, lanes int) (RunW, error) {
-	r, err := newAVRRunW(core, prog, lanes)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-func newAVRRunW(core *avr.Core, prog []uint16, lanes int) (*avrRunW, error) {
 	w, err := lanesToWidth(lanes)
 	if err != nil {
 		return nil, err
@@ -173,60 +121,14 @@ func (r *avrRunW) SignatureLane(l int) uint64 {
 	return SignatureHash([]byte{r.sys.PortLane(l)}, r.sys.DMem[l][:])
 }
 
-func (r *avrRunW) InitDelta(tr *sim.Trace) *sim.DeltaState {
-	if r.delta == nil || r.delta.Trace() != tr {
-		d, err := r.sys.NewDelta(tr)
-		if err != nil {
-			return nil
-		}
-		r.delta = d
-	}
-	return r.delta
-}
-
-func (r *avrRunW) StepDelta() { r.delta.Step() }
-
-func (r *avrRunW) HaltedMaskDeltaG(g int) uint64 {
-	return r.delta.WireLanesG(r.sys.Core.Halted, g)
-}
-
-// avrRun64 is the width-1 compatibility veneer: it satisfies both Run64
-// (the historical interface) and RunW/DeltaRunW (via promotion), so
-// Run64-typed callers get the direct wide-engine path from AsRunW.
-type avrRun64 struct {
-	*avrRunW
-	m64 *sim.Machine64
-}
-
-// NewAVRRun64 creates a 64-lane batched run for the AVR-class core.
-func NewAVRRun64(core *avr.Core, prog []uint16) (Run64, error) {
-	rw, err := newAVRRunW(core, prog, 64)
-	if err != nil {
-		return nil, err
-	}
-	return &avrRun64{avrRunW: rw, m64: &sim.Machine64{MachineW: rw.sys.M}}, nil
-}
-
-func (r *avrRun64) HaltedMask() uint64   { return r.HaltedMaskG(0) }
-func (r *avrRun64) Mach() *sim.Machine64 { return r.m64 }
-
 // msp430RunW adapts the MSP430 lane-parallel system.
 type msp430RunW struct {
-	sys   *msp430.SystemW
-	delta *sim.DeltaState
+	sys *msp430.SystemW
 }
 
 // NewMSP430RunW creates a wide batched run for the MSP430-class core with
 // the given lane count (a positive multiple of 64).
 func NewMSP430RunW(core *msp430.Core, prog []uint16, lanes int) (RunW, error) {
-	r, err := newMSP430RunW(core, prog, lanes)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-func newMSP430RunW(core *msp430.Core, prog []uint16, lanes int) (*msp430RunW, error) {
 	w, err := lanesToWidth(lanes)
 	if err != nil {
 		return nil, err
@@ -276,66 +178,3 @@ func (r *msp430RunW) LoadCheckpoint(cp Checkpoint) {
 func (r *msp430RunW) SignatureLane(l int) uint64 {
 	return signatureWords16(r.sys.PortLane(l), r.sys.DMem[l][:])
 }
-
-func (r *msp430RunW) InitDelta(tr *sim.Trace) *sim.DeltaState {
-	if r.delta == nil || r.delta.Trace() != tr {
-		d, err := r.sys.NewDelta(tr)
-		if err != nil {
-			return nil
-		}
-		r.delta = d
-	}
-	return r.delta
-}
-
-func (r *msp430RunW) StepDelta() { r.delta.Step() }
-
-func (r *msp430RunW) HaltedMaskDeltaG(g int) uint64 {
-	return r.delta.WireLanesG(r.sys.Core.Halted, g)
-}
-
-// msp430Run64 is the width-1 compatibility veneer (see avrRun64).
-type msp430Run64 struct {
-	*msp430RunW
-	m64 *sim.Machine64
-}
-
-// NewMSP430Run64 creates a 64-lane batched run for the MSP430-class core.
-func NewMSP430Run64(core *msp430.Core, prog []uint16) (Run64, error) {
-	rw, err := newMSP430RunW(core, prog, 64)
-	if err != nil {
-		return nil, err
-	}
-	return &msp430Run64{msp430RunW: rw, m64: &sim.Machine64{MachineW: rw.sys.M}}, nil
-}
-
-func (r *msp430Run64) HaltedMask() uint64   { return r.HaltedMaskG(0) }
-func (r *msp430Run64) Mach() *sim.Machine64 { return r.m64 }
-
-// run64Adapter lifts an arbitrary Run64 implementation (e.g. a test
-// double) onto RunW at width 1. It deliberately does NOT implement
-// DeltaRunW: a foreign Run64 may override lane primitives (fault-handling
-// wrappers in the resilience tests do), and those overrides must keep
-// seeing every call — so adapted devices always run dense.
-type run64Adapter struct {
-	r Run64
-}
-
-// AsRunW returns the widest view of a Run64: the value itself when it
-// already implements RunW (the built-in targets do), otherwise a width-1
-// adapter.
-func AsRunW(r Run64) RunW {
-	if rw, ok := r.(RunW); ok {
-		return rw
-	}
-	return run64Adapter{r: r}
-}
-
-func (a run64Adapter) Step()                        { a.r.Step() }
-func (a run64Adapter) Lanes() int                   { return 64 }
-func (a run64Adapter) HaltedMaskG(int) uint64       { return a.r.HaltedMask() }
-func (a run64Adapter) LoadCheckpoint(cp Checkpoint) { a.r.LoadCheckpoint(cp) }
-func (a run64Adapter) FlipLane(ff, l int)           { a.r.FlipLane(ff, l) }
-func (a run64Adapter) SignatureLane(l int) uint64   { return a.r.SignatureLane(l) }
-func (a run64Adapter) MemDigestLane(l int) uint64   { return a.r.MemDigestLane(l) }
-func (a run64Adapter) MachW() *sim.MachineW         { return a.r.Mach().MachineW }

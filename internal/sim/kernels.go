@@ -1,33 +1,6 @@
 package sim
 
-import (
-	"repro/internal/cell"
-	"repro/internal/netlist"
-)
-
-// Machine64 is a 64-lane bit-parallel gate-level simulator: every wire
-// carries one uint64 whose bit l is the wire's value in lane l, so 64
-// circuit instances advance per evaluation pass. This is the classic
-// parallel fault-simulation technique, and it plays the role of the
-// paper's hardware parallelism ("one FI controller distributes the FI
-// campaign over several FPGAs"): the HAFI campaign controller batches
-// injection experiments that share a start checkpoint into one machine
-// run.
-//
-// Machine64 is the W=1 instantiation of the width-parameterized MachineW
-// (see machinew.go): it embeds the wide machine by pointer, so every
-// MachineW field and method is promoted, state is shared with any wide
-// view of the same device, and the W=1 evaluation program is bit-for-bit
-// the classic 64-lane program. The wrapper adds only the historical
-// single-word signatures (Lanes, DivergenceMask, Env64 Settle/Step, ...)
-// so existing callers and journals are untouched.
-//
-// All lanes share the same netlist; they diverge only through per-lane
-// state (flip-flops, primary inputs) — exactly what a fault injection
-// needs.
-type Machine64 struct {
-	*MachineW
-}
+import "repro/internal/cell"
 
 // op64 is one gate in the flattened bitwise evaluation program. In a
 // width-W program the out/in indices are pre-scaled by W.
@@ -46,15 +19,6 @@ type opRun struct {
 	start, end int32
 }
 
-// NewMachine64 creates a 64-lane machine and resets it.
-func NewMachine64(nl *netlist.Netlist) (*Machine64, error) {
-	mw, err := NewMachineW(nl, 1)
-	if err != nil {
-		return nil, err
-	}
-	return &Machine64{MachineW: mw}, nil
-}
-
 // buildRuns splits an ordered op program into contiguous same-kind spans.
 func buildRuns(ops []op64) []opRun {
 	// In-run order follows the (level, kind) sort, so a span may cross a
@@ -70,12 +34,6 @@ func buildRuns(ops []op64) []opRun {
 	}
 	return runs
 }
-
-// Lanes returns the lane word of a wire (bit l = lane l).
-func (m *Machine64) Lanes(w netlist.WireID) uint64 { return m.values[w] }
-
-// SetLanes drives a wire in all lanes at once.
-func (m *Machine64) SetLanes(w netlist.WireID, v uint64) { m.values[w] = v }
 
 // evalProgram executes one kind-grouped W=1 op program: one switch
 // dispatch per run, then a tight specialized loop over the span — the hot
@@ -237,47 +195,4 @@ func evalGeneric(o *op64, v []uint64) uint64 {
 		out |= term
 	}
 	return out
-}
-
-// DivergenceMask compares the stored flip-flop state of every lane against
-// a packed golden wire row (as returned by Trace.Row for the same cycle):
-// bit l of the result is set when lane l differs from the golden reference
-// in at least one flip-flop. Only the lanes in interest are reported, and
-// the scan stops as soon as every interesting lane has diverged — the
-// common case for freshly injected faults.
-func (m *Machine64) DivergenceMask(goldenRow []uint64, interest uint64) uint64 {
-	return m.DivergenceMaskG(goldenRow, interest, 0)
-}
-
-// Env64 services the environment of all 64 lanes between the two
-// evaluation passes (per-lane memories, per-lane read data).
-type Env64 interface {
-	SetInputs64(m *Machine64)
-}
-
-// Env64Func adapts a function to Env64.
-type Env64Func func(m *Machine64)
-
-// SetInputs64 implements Env64.
-func (f Env64Func) SetInputs64(m *Machine64) { f(m) }
-
-// Settle runs the two-pass evaluation with the lane environment. When
-// SetEnvWrites has declared the environment's write set, the second pass
-// evaluates only the downstream cone of those wires.
-func (m *Machine64) Settle(env Env64) {
-	m.EvalComb()
-	if env != nil {
-		env.SetInputs64(m)
-		if m.envOps != nil {
-			evalProgram(m.envOps, m.envRuns, m.values)
-		} else {
-			m.EvalComb()
-		}
-	}
-}
-
-// Step advances one clock cycle in all lanes.
-func (m *Machine64) Step(env Env64) {
-	m.Settle(env)
-	m.CommitFFs()
 }

@@ -10,15 +10,18 @@ import (
 
 // MachineW is the width-parameterized wide-word machine: every wire
 // carries W uint64 lane words (64·W lanes total), so one combinational
-// pass advances 64·W circuit instances. Machine64 is the W=1
-// instantiation; the batched campaign engine runs W=4 (256 lanes) by
-// default.
+// pass advances 64·W circuit instances. This is the classic parallel
+// fault-simulation technique, and it plays the role of the paper's
+// hardware parallelism ("one FI controller distributes the FI campaign
+// over several FPGAs"): the HAFI campaign controller batches injection
+// experiments that share a start checkpoint into one machine run. The
+// batched campaign engine runs W=4 (256 lanes) by default.
 //
 // Layout: values is wire-major with stride W — values[int(w)*W+g] is lane
 // group g (lanes 64g..64g+63) of wire w. The evaluation program indices
 // are pre-scaled by W at construction, so the dense kernels index
 // v[o.out]..v[o.out+W-1] without a per-access multiply, and the W=1
-// program is bit-for-bit the classic Machine64 program.
+// program is bit-for-bit the classic 64-lane program.
 //
 // Width parameterization is deliberately NOT done with Go generics: a
 // type parameter cannot range over array lengths ([1]uint64|[4]uint64 has
@@ -45,21 +48,13 @@ type MachineW struct {
 	envOps  []op64 // subprogram: gates downstream of env-written wires
 	envRuns []opRun
 
-	// envWrites/envCone/envOpFlag record the SetEnvWrites declaration for
-	// the cone-delta engine: the flattened written wires, the per-wire
-	// (scaled index) downstream-cone membership, and the per-op membership
-	// aligned with ops.
-	envWrites []netlist.WireID
-	envCone   []bool
-	envOpFlag []bool
-
 	ffD, ffQ   []int32  // unscaled wire ids (golden-row lookups)
 	ffDs, ffQs []int32  // pre-scaled (wire*W)
 	ffNext     []uint64 // len FFs*W
 }
 
 // NewMachineW creates a 64·W-lane machine and resets it. w must be >= 1;
-// w=1 reproduces Machine64 exactly (same program, same layout).
+// w=1 is the classic 64-lane machine.
 func NewMachineW(nl *netlist.Netlist, w int) (*MachineW, error) {
 	if w < 1 {
 		return nil, fmt.Errorf("sim: machine width %d out of range (want >= 1)", w)
@@ -299,15 +294,12 @@ func (m *MachineW) SetEnvWrites(wires ...[]netlist.WireID) {
 	// inCone is indexed by the pre-scaled wire index (wire*W), matching the
 	// op program, so the same code serves every width.
 	inCone := make([]bool, m.NL.NumWires()*m.W)
-	m.envWrites = m.envWrites[:0]
 	for _, ws := range wires {
 		for _, w := range ws {
 			inCone[int(w)*m.W] = true
-			m.envWrites = append(m.envWrites, w)
 		}
 	}
 	m.envOps = nil
-	m.envOpFlag = make([]bool, len(m.ops))
 	for i := range m.ops {
 		o := &m.ops[i]
 		hit := false
@@ -319,12 +311,10 @@ func (m *MachineW) SetEnvWrites(wires ...[]netlist.WireID) {
 		}
 		if hit {
 			inCone[o.out] = true
-			m.envOpFlag[i] = true
 			m.envOps = append(m.envOps, *o)
 		}
 	}
 	m.envRuns = buildRuns(m.envOps)
-	m.envCone = inCone
 }
 
 // EnvConeSize reports how many gates the restricted second settle pass
@@ -379,7 +369,7 @@ func (m *MachineW) FirstDivergedFF(lane int, goldenRow []uint64) int {
 // CommitFFs clocks every flip-flop in the active lanes.
 func (m *MachineW) CommitFFs() {
 	if m.W == 1 {
-		// Keep the 64-lane fast path as tight as the original Machine64.
+		// Keep the 64-lane fast path as tight as possible.
 		for i, d := range m.ffD {
 			m.ffNext[i] = m.values[d]
 		}
@@ -521,9 +511,8 @@ func evalOpG(o *op64, v []uint64, g int32) uint64 {
 	return evalOpWords(o, &in)
 }
 
-// evalOpWords evaluates one op given its input lane words — the shared
-// single-word gate kernel used by the generic dense path and the
-// cone-delta evaluator.
+// evalOpWords evaluates one op given its input lane words — the
+// single-word gate kernel of the generic dense path.
 func evalOpWords(o *op64, in *[4]uint64) uint64 {
 	switch o.kind {
 	case cell.TIE0:

@@ -10,12 +10,12 @@ import (
 
 var testWidths = []int{1, 2, 4}
 
-// TestMachineWMatchesMachine64Random: a width-W machine must agree, wire
-// for wire and lane group for lane group, with an independent Machine64
+// TestMachineWMatchesWidth1Random: a width-W machine must agree, wire
+// for wire and lane group for lane group, with independent width-1 machines
 // driven by the same per-group stimuli — the W=1 kernel is the proven
 // reference, so this pins evalProgram4 and the generic wide fallback to
 // it on random circuits, per-lane inputs and per-lane fault injections.
-func TestMachineWMatchesMachine64Random(t *testing.T) {
+func TestMachineWMatchesWidth1Random(t *testing.T) {
 	for _, w := range testWidths {
 		rng := rand.New(rand.NewSource(int64(4242 + w)))
 		for trial := 0; trial < 6; trial++ {
@@ -24,9 +24,9 @@ func TestMachineWMatchesMachine64Random(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refs := make([]*Machine64, w)
+			refs := make([]*MachineW, w)
 			for g := range refs {
-				if refs[g], err = NewMachine64(nl); err != nil {
+				if refs[g], err = NewMachineW(nl, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -35,14 +35,14 @@ func TestMachineWMatchesMachine64Random(t *testing.T) {
 					for g := 0; g < w; g++ {
 						v := rng.Uint64()
 						wide.SetLaneWord(in, g, v)
-						refs[g].SetLanes(in, v)
+						refs[g].SetLaneWord(in, 0, v)
 					}
 				}
 				if cyc == 3 && len(nl.FFs) > 0 {
 					ff := rng.Intn(len(nl.FFs))
 					lane := rng.Intn(64 * w)
 					wide.FlipLane(ff, lane)
-					refs[lane>>6].MachineW.FlipLane(ff, lane&63)
+					refs[lane>>6].FlipLane(ff, lane&63)
 				}
 				wide.Settle(nil)
 				for g := 0; g < w; g++ {
@@ -51,9 +51,9 @@ func TestMachineWMatchesMachine64Random(t *testing.T) {
 				for wid := 0; wid < nl.NumWires(); wid++ {
 					for g := 0; g < w; g++ {
 						got := wide.LaneWord(netlist.WireID(wid), g)
-						want := refs[g].Lanes(netlist.WireID(wid))
+						want := refs[g].LaneWord(netlist.WireID(wid), 0)
 						if got != want {
-							t.Fatalf("W=%d trial %d cycle %d wire %d group %d: wide %016x, Machine64 %016x",
+							t.Fatalf("W=%d trial %d cycle %d wire %d group %d: wide %016x, width-1 %016x",
 								w, trial, cyc, wid, g, got, want)
 						}
 					}
@@ -67,11 +67,11 @@ func TestMachineWMatchesMachine64Random(t *testing.T) {
 	}
 }
 
-// TestDivergenceMaskGMatchesMachine64: for every width, DivergenceMaskG
-// against a golden row must equal the Machine64 DivergenceMask of an
-// identically-driven 64-lane reference for the matching lane group, with
+// TestDivergenceMaskGMatchesWidth1: for every width, DivergenceMaskG
+// against a golden row must equal the group-0 DivergenceMaskG of an
+// identically-driven width-1 reference for the matching lane group, with
 // FlipLane as the divergence source.
-func TestDivergenceMaskGMatchesMachine64(t *testing.T) {
+func TestDivergenceMaskGMatchesWidth1(t *testing.T) {
 	for _, w := range testWidths {
 		rng := rand.New(rand.NewSource(int64(77 + w)))
 		nl := randomSyncCircuit(rng)
@@ -94,9 +94,9 @@ func TestDivergenceMaskGMatchesMachine64(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs := make([]*Machine64, w)
+		refs := make([]*MachineW, w)
 		for g := range refs {
-			if refs[g], err = NewMachine64(nl); err != nil {
+			if refs[g], err = NewMachineW(nl, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -109,7 +109,7 @@ func TestDivergenceMaskGMatchesMachine64(t *testing.T) {
 			ff := rng.Intn(len(nl.FFs))
 			lane := rng.Intn(64 * w)
 			wide.FlipLane(ff, lane)
-			refs[lane>>6].MachineW.FlipLane(ff, lane&63)
+			refs[lane>>6].FlipLane(ff, lane&63)
 		}
 		wide.Settle(nil)
 		for g := 0; g < w; g++ {
@@ -118,9 +118,9 @@ func TestDivergenceMaskGMatchesMachine64(t *testing.T) {
 		for _, interest := range []uint64{^uint64(0), 0xF0F0F0F0F0F0F0F0, 1, 0} {
 			for g := 0; g < w; g++ {
 				got := wide.DivergenceMaskG(row, interest, g)
-				want := refs[g].DivergenceMask(row, interest)
+				want := refs[g].DivergenceMaskG(row, interest, 0)
 				if got != want {
-					t.Fatalf("W=%d group %d interest %016x: wide %016x, Machine64 %016x",
+					t.Fatalf("W=%d group %d interest %016x: wide %016x, width-1 %016x",
 						w, g, interest, got, want)
 				}
 			}

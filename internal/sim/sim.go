@@ -39,7 +39,7 @@ type Machine struct {
 	values []bool
 
 	// ops is the flattened evaluation program in topological order. The
-	// common library cells are dispatched by kind (like Machine64); the
+	// common library cells are dispatched by kind (like MachineW); the
 	// truth table backs the generic fallback and EvalCombForced.
 	ops []scalarOp
 
@@ -123,7 +123,7 @@ func (m *Machine) WriteBus(bus []netlist.WireID, v uint64) {
 }
 
 // EvalComb evaluates all gates once in topological order, dispatching the
-// library cells by kind (mirroring Machine64.EvalComb) with a truth-table
+// library cells by kind (mirroring MachineW.EvalComb) with a truth-table
 // fallback for anything else. This runs twice per cycle in every
 // experiment, so the common cells avoid the per-pin bit-probe loop.
 func (m *Machine) EvalComb() {

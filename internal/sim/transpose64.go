@@ -97,19 +97,6 @@ func scatterPlanes(vals *[64]uint16, n int, planes *[16]uint64) {
 	}
 }
 
-// GatherBus reads a bus (up to 16 wires) into per-lane values:
-// out[l] bit i = wire bus[i] in lane l. It replaces 64 ReadBusLane calls.
-func (m *Machine64) GatherBus(bus []netlist.WireID, out *[64]uint16) {
-	m.GatherBusG(bus, 0, out)
-}
-
-// ScatterBus drives a bus (up to 16 wires) from per-lane values:
-// wire bus[i] carries bit i of each lane's value. It replaces the per-lane
-// plane-assembly loops in the environments.
-func (m *Machine64) ScatterBus(bus []netlist.WireID, vals *[64]uint16) {
-	m.ScatterBusG(bus, 0, vals)
-}
-
 // GatherBusG reads a bus (up to 16 wires) for lane group g:
 // out[l] bit i = wire bus[i] in lane 64g+l.
 func (m *MachineW) GatherBusG(bus []netlist.WireID, g int, out *[64]uint16) {

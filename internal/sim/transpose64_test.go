@@ -19,21 +19,21 @@ func TestBusTranspose(t *testing.T) {
 			bus[i] = b.Input("")
 		}
 		b.MarkOutput(bus[0])
-		m, err := NewMachine64(b.MustNetlist())
+		m, err := NewMachineW(b.MustNetlist(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		for trial := 0; trial < 8; trial++ {
 			for _, w := range bus {
-				m.SetLanes(w, rng.Uint64())
+				m.SetLaneWord(w, 0, rng.Uint64())
 			}
 
 			var got [64]uint16
-			m.GatherBus(bus, &got)
+			m.GatherBusG(bus, 0, &got)
 			for l := 0; l < 64; l++ {
 				if want := uint16(m.ReadBusLane(bus, l)); got[l] != want {
-					t.Fatalf("width %d lane %d: GatherBus %04x, ReadBusLane %04x", width, l, got[l], want)
+					t.Fatalf("width %d lane %d: GatherBusG %04x, ReadBusLane %04x", width, l, got[l], want)
 				}
 			}
 
@@ -41,19 +41,19 @@ func TestBusTranspose(t *testing.T) {
 			for l := range vals {
 				vals[l] = uint16(rng.Uint32()) & (1<<uint(width) - 1)
 			}
-			m.ScatterBus(bus, &vals)
+			m.ScatterBusG(bus, 0, &vals)
 			for i, w := range bus {
 				var want uint64
 				for l := 0; l < 64; l++ {
 					want |= uint64(vals[l]>>uint(i)&1) << uint(l)
 				}
-				if m.Lanes(w) != want {
-					t.Fatalf("width %d wire %d: ScatterBus %016x, want %016x", width, i, m.Lanes(w), want)
+				if m.LaneWord(w, 0) != want {
+					t.Fatalf("width %d wire %d: ScatterBusG %016x, want %016x", width, i, m.LaneWord(w, 0), want)
 				}
 			}
 
 			// Round trip: gather back exactly what was scattered.
-			m.GatherBus(bus, &got)
+			m.GatherBusG(bus, 0, &got)
 			if got != vals {
 				t.Fatalf("width %d: scatter/gather round trip diverged", width)
 			}

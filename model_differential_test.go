@@ -109,31 +109,23 @@ func TestDifferentialFaultModels(t *testing.T) {
 				}},
 				{"batched-early", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
 					ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
-					run64, err := c.NewRun64(prog)
-					if err != nil {
-						return nil, err
-					}
-					return ctl.RunCampaignBatched(cfg, run64)
+					return ctl.RunCampaignBatched(cfg, func() (hafi.RunW, error) { return c.NewRunW(prog, 64) })
 				}},
 				{"batched-full", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
 					cfg.DisableEarlyExit = true
 					ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
-					run64, err := c.NewRun64(prog)
-					if err != nil {
-						return nil, err
-					}
-					return ctl.RunCampaignBatched(cfg, run64)
+					return ctl.RunCampaignBatched(cfg, func() (hafi.RunW, error) { return c.NewRunW(prog, 64) })
 				}},
 				{"pooled-early", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
 					cfg.Workers = runtime.NumCPU()
 					ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
-					return ctl.RunCampaignBatchedPool(cfg, func() (hafi.Run64, error) { return c.NewRun64(prog) })
+					return ctl.RunCampaignBatched(cfg, func() (hafi.RunW, error) { return c.NewRunW(prog, 64) })
 				}},
 				{"pooled-full", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
 					cfg.Workers = runtime.NumCPU()
 					cfg.DisableEarlyExit = true
 					ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
-					return ctl.RunCampaignBatchedPool(cfg, func() (hafi.Run64, error) { return c.NewRun64(prog) })
+					return ctl.RunCampaignBatched(cfg, func() (hafi.RunW, error) { return c.NewRunW(prog, 64) })
 				}},
 			}
 

@@ -12,7 +12,10 @@
 # failing the build. Set STRICT=1 to turn every warning into a failure, or
 # STRICT_RE to a grep -E pattern to fail only when a matching benchmark
 # regresses (CI guards the campaign hot path strictly and leaves the noisier
-# microbenches advisory).
+# microbenches advisory). A strict benchmark that is in the baseline but
+# missing from the candidate fails the run too: deleting or renaming a
+# guarded benchmark must not pass the gate silently. Missing advisory
+# benchmarks are only listed.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -53,10 +56,16 @@ join "$tmp/base" "$tmp/cand" | awk -v thr="$threshold" -v out="$tmp/regressed" '
 }
 END { exit (n > 200) ? 200 : n }' && regressions=0 || regressions=$?
 
-missing=$(join -v 1 "$tmp/base" "$tmp/cand" | awk '{print $1}')
+missing=$(join -v 1 "$tmp/base" "$tmp/cand" | awk '{print $1}' | sort -u)
+missing_strict=""
 if [ -n "$missing" ]; then
     echo "bench-compare: benchmarks missing from $cand:" >&2
     printf '  %s\n' $missing >&2
+    if [ "$strict" = "1" ]; then
+        missing_strict=$missing
+    elif [ -n "$strict_re" ]; then
+        missing_strict=$(printf '%s\n' $missing | grep -E "$strict_re" || true)
+    fi
 fi
 
 if [ "$regressions" -gt 0 ]; then
@@ -71,5 +80,10 @@ if [ "$regressions" -gt 0 ]; then
     fi
 else
     echo "bench-compare: no regressions beyond ${threshold}% vs $base"
+fi
+if [ -n "$missing_strict" ]; then
+    echo "bench-compare: FAIL: strict benchmark(s) missing from $cand:" >&2
+    printf '  %s\n' $missing_strict >&2
+    exit 1
 fi
 exit 0

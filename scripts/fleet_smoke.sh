@@ -14,7 +14,9 @@
 # with -trace and -log-json, one worker is throttled so the coordinator
 # must flag it as a straggler, /status is scraped mid-run (per-worker
 # throughput, ETA, anomaly feed), and the stitched Perfetto trace is
-# validated with campaignreport -check-trace after the merge.
+# validated with campaignreport -check-trace after the merge. Before any
+# of that, a campaignworker with a malformed -lanes must fail with a usage
+# error (exit 2) without contacting a coordinator.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +34,15 @@ go build -o "$tmp/campaignworker" ./cmd/campaignworker
 go build -o "$tmp/campaignreport" ./cmd/campaignreport
 
 args=(-cpu avr -prog fib -stride 300)
+
+echo "== campaignworker rejects a bad -lanes up front (usage, exit 2)"
+rc=0
+"$tmp/campaignworker" -coordinator http://127.0.0.1:9 -lanes 100 > "$tmp/badlanes.out" 2>&1 || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q -- '-lanes 100 out of range' "$tmp/badlanes.out"; then
+    echo "FAIL: campaignworker -lanes 100 exited $rc, want 2 with a usage error" >&2
+    cat "$tmp/badlanes.out" >&2
+    exit 1
+fi
 
 echo "== reference: uninterrupted single-process campaign"
 "$tmp/campaign" "${args[@]}" -journal "$tmp/reference.journal" > "$tmp/reference.out"

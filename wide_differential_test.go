@@ -4,15 +4,14 @@ package repro
 // journal byte-identical streams across
 //
 //   - device width: 64-lane and 256-lane devices,
-//   - evaluation mode: dense dispatch and the sparse cone-delta engine,
-//   - scheduling: single-instance batched and pooled batched,
+//   - scheduling: one device and a pool of one device per CPU,
 //   - early-exit: convergence retirement on and off,
 //
 // with the sequential scalar controller as the semantic anchor. The batch
 // planner packs points identically regardless of lane count (stable
 // cycle-major order, per-point record emission), so the journals are
-// compared as raw bytes — any divergence in planning, packing, delta
-// evaluation or classification breaks the equality.
+// compared as raw bytes — any divergence in planning, packing, lane
+// compaction or classification breaks the equality.
 
 import (
 	"bytes"
@@ -92,40 +91,25 @@ func TestDifferentialWideDeltaMatrix(t *testing.T) {
 				return raw, out
 			}
 
-			batched := func(lanes int, disableDelta, disableEarly bool) func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
+			batched := func(lanes, workers int, disableEarly bool) func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
 				return func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
-					cfg.DisableDelta = disableDelta
 					cfg.DisableEarlyExit = disableEarly
+					cfg.Workers = workers
 					ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
-					run, err := c.NewRunW(prog, lanes)
-					if err != nil {
-						return nil, err
-					}
-					return ctl.RunCampaignBatchedW(cfg, run)
+					return ctl.RunCampaignBatched(cfg, func() (hafi.RunW, error) { return c.NewRunW(prog, lanes) })
 				}
 			}
-			pooled := func(lanes int, disableDelta, disableEarly bool) func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
-				return func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
-					cfg.DisableDelta = disableDelta
-					cfg.DisableEarlyExit = disableEarly
-					cfg.Workers = runtime.NumCPU()
-					ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
-					return ctl.RunCampaignBatchedPoolW(cfg, func() (hafi.RunW, error) { return c.NewRunW(prog, lanes) })
-				}
-			}
+			pool := runtime.NumCPU()
 
 			variants := []struct {
 				name string
 				exec func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error)
 			}{
-				{"64-dense-early", batched(64, true, false)},
-				{"256-dense-early", batched(256, true, false)},
-				{"256-delta-early", batched(256, false, false)},
-				{"64-delta-early", batched(64, false, false)},
-				{"256-delta-full", batched(256, false, true)},
-				{"256-dense-full", batched(256, true, true)},
-				{"pooled-256-delta-early", pooled(256, false, false)},
-				{"pooled-256-dense-full", pooled(256, true, true)},
+				{"64-early", batched(64, 1, false)},
+				{"256-early", batched(256, 1, false)},
+				{"256-full", batched(256, 1, true)},
+				{"pooled-256-early", batched(256, pool, false)},
+				{"pooled-256-full", batched(256, pool, true)},
 			}
 
 			var firstRaw []byte
@@ -148,8 +132,8 @@ func TestDifferentialWideDeltaMatrix(t *testing.T) {
 				}
 			}
 
-			// Semantic anchor: the sequential scalar controller (dense by
-			// construction) must classify every point identically.
+			// Semantic anchor: the sequential scalar controller must classify
+			// every point identically.
 			ctl := hafi.NewController(c.NewRun(prog), golden)
 			seq, err := ctl.RunCampaign(hafi.CampaignConfig{Points: points, DisableEarlyExit: true})
 			if err != nil {
